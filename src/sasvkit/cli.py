@@ -11,14 +11,16 @@ format is not published; this convention is an assumption.
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import fileio, metrics, moe, sampler, scoring
 from .core import ScoreSet, Trial, TrialLabel
-from .errors import DivergenceDetected, SasvError
+from .errors import BadParams, DivergenceDetected, SasvError
 from .losses import (
     CircleConfig,
     LossBatch,
@@ -55,6 +57,13 @@ def _fmt(value):
     return f"{value:.6f}"
 
 
+def _top_k(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("top_k must be >= 1")
+    return value
+
+
 def _build_parser():
     top = _Parser(prog="sasvkit", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -63,7 +72,7 @@ def _build_parser():
     p.add_argument("--trials", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--cohort", default=None, help="imposter cohort embedding file")
-    p.add_argument("--top-k", type=int, default=scoring.DEFAULT_TOP_K)
+    p.add_argument("--top-k", type=_top_k, default=scoring.DEFAULT_TOP_K)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("cascade", help="spoof-detector tandem decision")
@@ -156,12 +165,28 @@ def _cmd_ensemble(args):
     return EXIT_OK
 
 
+def _load_adcf_config(path):
+    """ADcfConfig from a JSON object of finite numbers; any other content
+    is a data error naming the file."""
+    with open(path) as fh:
+        fields = json.load(fh, parse_int=float)
+    if not isinstance(fields, dict):
+        raise BadParams(f"{path}: a-DCF config must be a JSON object")
+    known = {f.name for f in dataclasses.fields(metrics.ADcfConfig)}
+    for name, value in fields.items():
+        if name not in known:
+            raise BadParams(f"{path}: unknown a-DCF config key {name!r}")
+        if not (isinstance(value, float) and math.isfinite(value)):
+            raise BadParams(f"{path}: a-DCF config {name!r} must be a finite number")
+    try:
+        return metrics.ADcfConfig(**fields)
+    except ValueError as e:
+        raise BadParams(f"{path}: {e}") from None
+
+
 def _cmd_eval(args):
     scores = fileio.parse_scores(args.scores)
-    cfg = metrics.ADcfConfig()
-    if args.adcf_config:
-        with open(args.adcf_config) as fh:
-            cfg = metrics.ADcfConfig(**json.load(fh))
+    cfg = _load_adcf_config(args.adcf_config) if args.adcf_config else metrics.ADcfConfig()
     print("# SV-EER is target-vs-nontarget (spoof trials excluded)")
     print(f"# a-DCF costs/priors: c_miss={cfg.c_miss:g} "
           f"c_fa_nontarget={cfg.c_fa_nontarget:g} c_fa_spoof={cfg.c_fa_spoof:g} "

@@ -1,9 +1,15 @@
 """Domain types shared by every module: embeddings, trials, labels, scores.
 
-All types are immutable after construction and safe to share between
-threads. Scores are kept as 64-bit floats everywhere; embedding storage
-is 32-bit (matching the on-disk binary format) and is promoted to 64-bit
-inside numerical routines.
+Embedding values, trials and scores are immutable after construction.
+Scores are kept as 64-bit floats everywhere; embedding storage is 32-bit
+(matching the on-disk binary format) and is promoted to 64-bit inside
+numerical routines.
+
+An EmbeddingSet is array-backed for the scoring engine: it keeps an
+ID -> row dict as members are added, and on first use builds one
+read-only float32 N x D matrix plus its float64 row norms, cached until
+the next `add`. Building the matrix rebinds each member's `values` to
+its (equal, read-only) row, so the vectors are stored once.
 """
 
 import math
@@ -70,12 +76,15 @@ class EmbeddingSet:
     """ID-indexed collection of embeddings sharing one dimension.
 
     Iteration preserves insertion order, which downstream code relies on
-    for deterministic tie-breaking.
+    for deterministic tie-breaking; row i of `matrix()` is the i-th
+    member. The matrix and norms are built once and handed out
+    read-only; `add` invalidates them.
     """
 
     def __init__(self, embeddings=()):
-        self._by_id = {}
+        self._rows = {}  # id -> row index
         self._order = []
+        self._arrays_cache = None  # (matrix, norms), built on first use
         self.dim = None
         for emb in embeddings:
             self.add(emb)
@@ -87,19 +96,20 @@ class EmbeddingSet:
             raise DimensionMismatch(
                 f"embedding {emb.id!r} has dimension {emb.dim}, set has {self.dim}"
             )
-        if emb.id in self._by_id:
+        if emb.id in self._rows:
             raise DuplicateId(f"duplicate embedding ID {emb.id!r}")
-        self._by_id[emb.id] = emb
+        self._rows[emb.id] = len(self._order)
         self._order.append(emb)
+        self._arrays_cache = None
 
     def __len__(self):
         return len(self._order)
 
     def __contains__(self, id):
-        return id in self._by_id
+        return id in self._rows
 
     def __getitem__(self, id):
-        return self._by_id[id]
+        return self._order[self._rows[id]]
 
     def __iter__(self):
         return iter(self._order)
@@ -107,9 +117,28 @@ class EmbeddingSet:
     def ids(self):
         return [e.id for e in self._order]
 
+    def rows(self, ids):
+        """Row indices of `ids`; KeyError names the first missing ID."""
+        return np.fromiter((self._rows[i] for i in ids), dtype=np.intp)
+
     def matrix(self):
-        """All vectors stacked in insertion order, promoted to float64."""
-        return np.stack([e.values for e in self._order]).astype(np.float64)
+        """Read-only float32 N x D matrix of all vectors in insertion order."""
+        return self._arrays()[0]
+
+    def norms(self):
+        """Read-only float64 Euclidean norm of every row of `matrix()`."""
+        return self._arrays()[1]
+
+    def _arrays(self):
+        if self._arrays_cache is None:
+            mat = np.stack([e.values for e in self._order])
+            mat.setflags(write=False)
+            for emb, row in zip(self._order, mat):
+                emb.values = row
+            norms = np.linalg.norm(mat.astype(np.float64), axis=1)
+            norms.setflags(write=False)
+            self._arrays_cache = (mat, norms)
+        return self._arrays_cache
 
 
 class Trial:

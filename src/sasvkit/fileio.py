@@ -1,7 +1,7 @@
 """On-disk formats: embeddings (text and binary), trials, scores, gates.
 
 Text embedding file: one `<id> <v1> ... <vD>` line per utterance,
-single-space separated, `#` lines are comments. Values are written as
+`#` lines are comments. Values are written as
 shortest round-trip decimals of the 32-bit stored floats, so
 binary -> text -> binary conversion is lossless.
 
@@ -19,7 +19,11 @@ misparsed; a corrupted magic fails the magic check itself.
 
 Trial file: `<enroll_id> <test_id> [label]` with label one of
 target/nontarget/spoof; a missing label means unlabeled.
-Score file: `<enroll_id> <test_id> <score>`.
+Score file: `<enroll_id> <test_id> <score> [label]`.
+
+Text fields are separated by any run of whitespace (spaces or tabs), so
+IDs cannot contain whitespace; the writers separate fields with a
+single space.
 """
 
 import struct
@@ -58,7 +62,7 @@ def _parse_embeddings_text(text):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split(" ")
+        fields = line.split()
         if len(fields) < 2:
             raise ParseError("embedding line needs an ID and values", line=lineno)
         try:
@@ -190,7 +194,7 @@ def parse_trials(path_or_stream):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split(" ")
+        fields = line.split()
         if len(fields) not in (2, 3):
             raise ParseError(
                 f"expected 2 or 3 fields, got {len(fields)}", line=lineno
@@ -228,7 +232,7 @@ def parse_scores(path_or_stream):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split(" ")
+        fields = line.split()
         if len(fields) not in (3, 4):
             raise ParseError(
                 f"expected 3 or 4 fields, got {len(fields)}", line=lineno
@@ -277,7 +281,7 @@ def parse_gate_params(path_or_stream):
     embset = parse_embeddings(path_or_stream, format="text")
     if len(embset) == 0 or embset.dim < 2:
         raise ParseError("gate file needs rows of D+1 values", line=1)
-    mat = embset.matrix()
+    mat = embset.matrix().astype(np.float64)
     return mat[:, :-1], mat[:, -1]
 
 

@@ -11,6 +11,19 @@ of that side's embedding. A spoof-detector cascade then replaces the
 score of any trial whose detector score falls below a threshold with a
 fixed reject score.
 
+`score_trials` is a batched array engine. It maps every trial side to
+its row of the embedding matrix, computes raw cosines as row-wise dot
+products a chunk of trials at a time, and computes the cohort
+statistics once per distinct side: one GEMM of a block of sides against
+the whole cohort, `np.partition` for the top K of each row, and the
+mean and std of those K values sorted in descending order, so that the
+summation order, and the result, do not depend on how ties were
+ordered. AS-Norm is then one vectorized expression over all trials.
+`top_k_cohort_scores`, `cohort_stats` and `as_norm` are the same
+computation for a single side; BLAS may sum the dot products of a
+block in another order than those of a single probe, so the two agree
+to a few ulps rather than bit for bit.
+
 All functions are pure; scores are float64 throughout.
 """
 
@@ -31,6 +44,11 @@ from .errors import (
 
 DEFAULT_TOP_K = 300
 DEFAULT_REJECT_SCORE = -5.0
+
+# bound the float64 temporaries of score_trials: trial pairs per
+# raw-cosine gather, and trial sides per cohort GEMM block
+_TRIAL_CHUNK = 512
+_SIDE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -83,36 +101,40 @@ def cosine(a, b):
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-def _cosines_against_set(probe_values, embset):
-    probe = np.asarray(probe_values, dtype=np.float64)
-    mat = embset.matrix()
-    if mat.shape[1] != probe.shape[0]:
-        raise DimensionMismatch(
-            f"probe dimension {probe.shape[0]} vs cohort dimension {mat.shape[1]}"
-        )
-    pn = np.linalg.norm(probe)
-    if pn == 0.0:
-        raise ZeroNorm("zero-norm probe")
-    norms = np.linalg.norm(mat, axis=1)
-    sims = mat @ probe / (norms * pn)
-    return np.clip(sims, -1.0, 1.0)
-
-
 def top_k_cohort_scores(probe, cohort, top_k):
     """The min(top_k, |cohort|) largest cosine scores, descending.
 
-    Ties are broken by cohort insertion order so results are identical
-    across platforms.
+    The selected values, and so their order, do not depend on how ties
+    are broken.
     """
+    values = np.asarray(probe.values, dtype=np.float64)[None, :]
+    _, top = next(_top_k_blocks(values, np.linalg.norm(values, axis=1), cohort, top_k))
+    return top[0].tolist()
+
+
+def _top_k_blocks(probes, probe_norms, cohort, top_k):
+    """Yield (block, top) for each block of `probes` rows: a slice and
+    the min(top_k, |cohort|) largest cohort cosines of those rows,
+    descending."""
     if len(cohort) == 0:
         raise EmptyCohort("cohort set is empty")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    sims = _cosines_against_set(probe.values, cohort)
-    # stable sort on descending score keeps insertion order among ties
-    order = np.argsort(-sims, kind="stable")
-    k = min(top_k, sims.shape[0])
-    return [float(sims[i]) for i in order[:k]]
+    if cohort.dim != probes.shape[1]:
+        raise DimensionMismatch(
+            f"probe dimension {probes.shape[1]} vs cohort dimension {cohort.dim}"
+        )
+    coh = cohort.matrix().astype(np.float64)
+    coh_norms = cohort.norms()
+    n = coh.shape[0]
+    k = min(top_k, n)
+    for lo in range(0, probes.shape[0], _SIDE_BLOCK):
+        block = slice(lo, lo + _SIDE_BLOCK)
+        sims = probes[block].astype(np.float64) @ coh.T
+        sims /= probe_norms[block, None] * coh_norms
+        np.clip(sims, -1.0, 1.0, out=sims)
+        sims.partition(n - k, axis=1)
+        yield block, np.ascontiguousarray(np.sort(sims[:, n - k :], axis=1)[:, ::-1])
 
 
 def cohort_stats(scores, min_sigma=1e-8):
@@ -143,33 +165,35 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
     """Score trials by cosine, with AS-Norm when a cohort is given.
 
     Enroll-side and test-side top-K statistics are computed
-    independently against the same cohort set. Stats are cached per
-    utterance ID since many trials share a side.
+    independently against the same cohort set, once per distinct side.
+    All IDs are checked before any scoring; MissingEmbedding names the
+    first missing one in trial order.
     """
-    out = ScoreSet()
-    stats_cache = {}
-
-    def side_stats(utt_id):
-        if utt_id not in stats_cache:
-            top = top_k_cohort_scores(embeddings[utt_id], cohort, cfg.top_k)
-            stats_cache[utt_id] = cohort_stats(top, cfg.min_sigma)
-        return stats_cache[utt_id]
-
-    for trial in trials:
-        for utt_id in (trial.enroll_id, trial.test_id):
-            if utt_id not in embeddings:
-                raise MissingEmbedding(f"no embedding for ID {utt_id!r}")
-        raw = cosine(
-            embeddings[trial.enroll_id].values, embeddings[trial.test_id].values
-        )
-        if cohort is None:
-            out.append(trial, raw)
-        else:
-            out.append(
-                trial,
-                as_norm(raw, side_stats(trial.enroll_id), side_stats(trial.test_id)),
-            )
-    return out
+    trials = list(trials)
+    try:
+        rows = embeddings.rows(i for t in trials for i in (t.enroll_id, t.test_id))
+    except KeyError as e:
+        raise MissingEmbedding(f"no embedding for ID {e.args[0]!r}") from None
+    if not trials:
+        return ScoreSet()
+    mat, norms = embeddings.matrix(), embeddings.norms()
+    enroll, test = rows[0::2], rows[1::2]
+    scores = np.empty(len(trials))
+    for lo in range(0, len(trials), _TRIAL_CHUNK):
+        e, t = enroll[lo : lo + _TRIAL_CHUNK], test[lo : lo + _TRIAL_CHUNK]
+        dots = (mat[e].astype(np.float64) * mat[t]).sum(axis=1)
+        scores[lo : lo + _TRIAL_CHUNK] = dots / (norms[e] * norms[t])
+    np.clip(scores, -1.0, 1.0, out=scores)
+    if cohort is not None:
+        sides, inverse = np.unique(rows, return_inverse=True)
+        mu, sigma = np.empty(len(sides)), np.empty(len(sides))
+        for block, top in _top_k_blocks(mat[sides], norms[sides], cohort, cfg.top_k):
+            mu[block] = top.mean(axis=1)
+            sigma[block] = top.std(axis=1)
+        np.maximum(sigma, cfg.min_sigma, out=sigma)
+        ie, it = inverse[0::2], inverse[1::2]
+        scores = 0.5 * ((scores - mu[ie]) / sigma[ie] + (scores - mu[it]) / sigma[it])
+    return ScoreSet(zip(trials, scores.tolist()))
 
 
 def _require_same_trials(a, b):

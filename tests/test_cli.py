@@ -54,6 +54,31 @@ def test_eval_adcf_config_override(tmp_path, capsys):
     assert "c_miss=1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", "must be a JSON object"),
+    ('{"bogus": 1}', "unknown a-DCF config key 'bogus'"),
+    ('{"c_miss": "1"}', "'c_miss' must be a finite number"),
+    ('{"pi_target": 0.5}', "priors must sum to 1"),
+])
+def test_eval_bad_adcf_config_exits_2(tmp_path, capsys, content, message):
+    scores = tmp_path / "scores.txt"
+    scores.write_text("e1 t1 2.0 target\ne2 t2 -1.0 nontarget\ne3 t3 -5.0 spoof\n")
+    cfg = tmp_path / "adcf.json"
+    cfg.write_text(content)
+    assert main(["eval", "--scores", str(scores), "--adcf-config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and message in err
+
+
+def test_score_top_k_below_1_is_a_usage_error(tmp_path, capsys):
+    # checked before any file is read: none of these files exist
+    missing = str(tmp_path / "missing.txt")
+    for k in ("0", "-3"):
+        assert main(["score", "--trials", missing, "--embeddings", missing,
+                     "--cohort", missing, "--top-k", k, "--out", missing]) == 1
+        assert "top_k must be >= 1" in capsys.readouterr().err
+
+
 def test_cascade_all_rejected(tmp_path):
     sd = tmp_path / "sd.txt"
     asv = tmp_path / "asv.txt"

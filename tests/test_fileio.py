@@ -127,6 +127,23 @@ def test_parse_trials():
         parse_trials(io.StringIO("only-one-field\n"))
 
 
+def test_parsers_split_on_any_whitespace():
+    embs = parse_embeddings(io.StringIO("a\t1.0  0.0\nb  0.0 \t1.0\n"), format="text")
+    assert np.array_equal(embs["b"].values, [0.0, 1.0])
+    trials = parse_trials(io.StringIO("e1\tt1\ttarget\ne2   t2\n"))
+    assert trials == [Trial("e1", "t1", TrialLabel.TARGET), Trial("e2", "t2")]
+    scores = parse_scores(io.StringIO("e1\tt1\t0.5\tspoof\ne2  t2 \t -1.0\n"))
+    assert scores.keys() == [("e1", "t1"), ("e2", "t2")]
+    assert list(scores.scores()) == [0.5, -1.0]
+    # the writers keep single-space output
+    buf = io.StringIO()
+    write_trials(trials, buf)
+    assert buf.getvalue() == "e1 t1 target\ne2 t2\n"
+    buf = io.StringIO()
+    write_scores(scores, buf)
+    assert buf.getvalue() == "e1 t1 0.5 spoof\ne2 t2 -1.0\n"
+
+
 def test_trials_round_trip():
     rng = np.random.default_rng(6)
     labels = list(TrialLabel)

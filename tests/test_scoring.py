@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sasvkit.core import Embedding, EmbeddingSet, ScoreSet, Trial, TrialLabel
 from sasvkit.errors import (
@@ -154,6 +156,93 @@ def test_score_trials_missing_embedding():
     embs = EmbeddingSet([Embedding("e1", [1.0])])
     with pytest.raises(MissingEmbedding, match="spk9-utt3"):
         score_trials([Trial("e1", "spk9-utt3")], embs)
+
+
+def test_score_trials_missing_id_checked_before_cohort():
+    embs = _embset([[1.0, 0.0], [0.0, 1.0]], prefix="u")
+    trials = [Trial("u0", "u1"), Trial("u0", "x2"), Trial("x1", "u1")]
+    # the first missing ID in trial order, before any cohort error
+    with pytest.raises(MissingEmbedding, match="'x2'"):
+        score_trials(trials, embs, EmbeddingSet())
+
+
+def test_score_trials_empty_cohort():
+    embs = _embset([[1.0, 0.0], [0.0, 1.0]], prefix="u")
+    with pytest.raises(EmptyCohort):
+        score_trials([Trial("u0", "u1")], embs, EmbeddingSet())
+    assert len(score_trials([], embs, EmbeddingSet())) == 0
+
+
+def test_score_trials_cohort_dimension_mismatch():
+    embs = _embset([[1.0, 0.0], [0.0, 1.0]], prefix="u")
+    cohort = _embset([[1.0, 0.0, 0.0]])
+    with pytest.raises(DimensionMismatch):
+        score_trials([Trial("u0", "u1")], embs, cohort)
+
+
+def test_score_trials_sigma_floor():
+    embs = _embset([[1.0, 0.0], [0.6, 0.8]], prefix="u")
+    cohort = _embset([[1.0, 1.0], [0.0, 1.0]])
+    cfg = AsNormConfig(top_k=2, min_sigma=0.5)
+    got = score_trials([Trial("u0", "u1")], embs, cohort, cfg).score_of(("u0", "u1"))
+    se = cohort_stats(top_k_cohort_scores(embs["u0"], cohort, 2), min_sigma=0.5)
+    st_ = cohort_stats(top_k_cohort_scores(embs["u1"], cohort, 2), min_sigma=0.5)
+    assert se.sigma == st_.sigma == 0.5  # both spreads are below the floor
+    raw = cosine(embs["u0"].values, embs["u1"].values)
+    assert abs(got - as_norm(raw, se, st_)) < 1e-12
+
+
+_GRID = st.integers(-3, 3)
+
+
+@st.composite
+def _asnorm_cases(draw):
+    """Integer-valued embeddings, cohort, top_k and trials.
+
+    Integer components make every dot product and squared norm exact, so
+    any summation order gives the same bits and the comparison checks the
+    engine's indexing, top-K selection and reduction rather than BLAS
+    rounding. The cohort is empty, one vector repeated (every cohort
+    score of a side ties, so sigma hits the floor) or arbitrary (ties
+    are frequent on a grid this coarse).
+    """
+    dim = draw(st.integers(1, 4))
+    vector = st.lists(_GRID, min_size=dim, max_size=dim).filter(any)
+    embs = draw(st.lists(vector, min_size=1, max_size=6))
+    kind = draw(st.sampled_from(["empty", "repeated", "arbitrary"]))
+    if kind == "empty":
+        cohort = []
+    elif kind == "repeated":
+        cohort = [draw(vector)] * draw(st.integers(1, 5))
+    else:
+        cohort = draw(st.lists(vector, min_size=1, max_size=8))
+    index = st.integers(0, len(embs) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), unique=True, max_size=10))
+    top_k = draw(st.integers(1, 10))
+    return embs, cohort, pairs, top_k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_asnorm_cases())
+def test_score_trials_matches_per_side_composition(case):
+    vectors, cohort_vectors, pairs, top_k = case
+    embs = _embset(vectors, prefix="u")
+    cohort = _embset(cohort_vectors)
+    trials = [Trial(f"u{e}", f"u{t}") for e, t in pairs]
+    cfg = AsNormConfig(top_k=top_k)
+    if trials and not cohort_vectors:
+        with pytest.raises(EmptyCohort):
+            score_trials(trials, embs, cohort, cfg)
+        return
+    out = score_trials(trials, embs, cohort, cfg)
+    assert out.keys() == [t.key for t in trials]
+    for t in trials:
+        raw = cosine(embs[t.enroll_id].values, embs[t.test_id].values)
+        se = cohort_stats(top_k_cohort_scores(embs[t.enroll_id], cohort, top_k))
+        st_ = cohort_stats(top_k_cohort_scores(embs[t.test_id], cohort, top_k))
+        ref = as_norm(raw, se, st_)
+        assert abs(out.score_of(t.key) - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert abs(score_trials([t], embs).score_of(t.key) - raw) <= 1e-12
 
 
 def _scoreset(pairs_scores, label=TrialLabel.UNLABELED):
