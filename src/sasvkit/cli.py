@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import fileio, metrics, moe, sampler, scoring
-from .core import ScoreSet, Trial, TrialLabel
+from .core import Trial, TrialLabel
 from .errors import BadParams, DivergenceDetected, SasvError
 from .losses import (
     CircleConfig,
@@ -100,7 +100,7 @@ def _build_parser():
                    help="embedding text file, rows = layers in depth order")
     p.add_argument("--gate", required=True,
                    help="gate file: rows of D+1 values (weight row + bias)")
-    p.add_argument("--top-k", type=int, default=moe.DEFAULT_TOP_K)
+    p.add_argument("--top-k", type=_top_k, default=moe.DEFAULT_TOP_K)
     p.add_argument("--unweighted", action="store_true",
                    help="sum selected layers without gate weighting")
 

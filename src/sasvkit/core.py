@@ -10,6 +10,17 @@ ID -> row dict as members are added, and on first use builds one
 read-only float32 N x D matrix plus its float64 row norms, cached until
 the next `add`. Building the matrix rebinds each member's `values` to
 its (equal, read-only) row, so the vectors are stored once.
+
+A ScoreSet is columnar: a list of enroll IDs, a list of test IDs, an
+int8 label code per record (the label's index in LABELS), a float64
+score array and one (enroll, test) -> row dict, which is also the
+duplicate check. `ScoreSet.from_columns` validates whole columns at
+once. A set derived from another (`with_scores`, used by cascade and
+ensemble) shares the source's key columns, index and labels and holds
+only a new score array; whichever set later appends takes a private
+copy of the keys first. `scores_in_order_of` aligns a second set to a
+set's row order with one dict lookup per key, after which combining
+scores is array arithmetic.
 """
 
 import math
@@ -119,7 +130,7 @@ class EmbeddingSet:
 
     def rows(self, ids):
         """Row indices of `ids`; KeyError names the first missing ID."""
-        return np.fromiter((self._rows[i] for i in ids), dtype=np.intp)
+        return np.fromiter(map(self._rows.__getitem__, ids), dtype=np.intp)
 
     def matrix(self):
         """Read-only float32 N x D matrix of all vectors in insertion order."""
@@ -171,14 +182,118 @@ class Trial:
         return f"Trial({self.enroll_id!r}, {self.test_id!r}, {self.label.value})"
 
 
+# The label column of a ScoreSet holds codes: a label's code is its
+# index in LABELS, so 0/1/2 are target/nontarget/spoof.
+LABELS = tuple(TrialLabel)
+LABEL_CODE = {label: code for code, label in enumerate(LABELS)}
+_UNLABELED = LABEL_CODE[TrialLabel.UNLABELED]
+
+
+def _readonly(array):
+    array.setflags(write=False)
+    return array
+
+
+def _at_row(exc, row):
+    """`exc` carrying the row of the record that raised it."""
+    exc.row = row
+    return exc
+
+
 class ScoreSet:
-    """Ordered (trial, score) records with unique (enroll, test) pairs."""
+    """Ordered (trial, score) records with unique (enroll, test) pairs.
+
+    Stored as columns (see the module docstring); iteration builds each
+    record's Trial on the fly.
+    """
 
     def __init__(self, records=()):
-        self._records = []
-        self._index = {}
-        for trial, score in records:
-            self.append(trial, score)
+        records = list(records)
+        self._set_columns(
+            [t.enroll_id for t, _ in records],
+            [t.test_id for t, _ in records],
+            [LABEL_CODE[t.label] for t, _ in records],
+            [s for _, s in records],
+        )
+
+    @classmethod
+    def from_columns(cls, enroll, test, labels, scores):
+        """A ScoreSet from whole columns: enroll IDs, test IDs, label
+        codes (see LABELS) and scores, one entry per record.
+
+        Raises ValueError for a non-finite score or DuplicateTrial for a
+        repeated (enroll, test) pair, whichever record comes first, as
+        appending the records one by one would; the exception's `row` is
+        that record's row.
+        """
+        out = cls.__new__(cls)
+        out._set_columns(enroll, test, labels, scores)
+        return out
+
+    def _set_columns(self, enroll, test, labels, scores):
+        enroll, test = list(enroll), list(test)
+        labels = np.array(labels, dtype=np.int8)
+        scores = np.array(scores, dtype=np.float64)
+        n = len(enroll)
+        if not (len(test) == labels.size == scores.size == n and scores.ndim == 1):
+            raise ValueError("score set columns differ in length")
+        if not (all(enroll) and all(test)):
+            raise ValueError("trial IDs must be non-empty")
+        if n and not (labels.min() >= 0 and labels.max() < len(LABELS)):
+            raise ValueError("unknown label code")
+        index = dict(zip(zip(enroll, test), range(n)))
+        duplicate = n
+        if len(index) < n:
+            seen = set()
+            for duplicate, key in enumerate(zip(enroll, test)):
+                if key in seen:
+                    break
+                seen.add(key)
+        self._enroll, self._test, self._index = enroll, test, index
+        # a record with a non-finite score fails before it is a duplicate
+        self._check_finite(scores[: duplicate + 1])
+        if duplicate < n:
+            raise _at_row(DuplicateTrial(f"duplicate trial {self._key(duplicate)}"), duplicate)
+        self._labels, self._scores = _readonly(labels), _readonly(scores)
+        self._shared_keys = False
+
+    def _check_finite(self, scores):
+        """Raise ValueError for the first non-finite score."""
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            row = int(bad[0])
+            raise _at_row(ValueError(f"non-finite score for trial {self._key(row)}"), row)
+
+    def _key(self, row):
+        return (self._enroll[row], self._test[row])
+
+    def with_scores(self, scores):
+        """A set of this set's records, in this order and with these
+        labels, holding new scores; it shares this set's key columns.
+        Raises ValueError on the first non-finite score."""
+        scores = np.array(scores, dtype=np.float64)
+        if scores.shape != self._scores.shape:
+            raise ValueError("score set columns differ in length")
+        self._check_finite(scores)
+        out = ScoreSet.__new__(ScoreSet)
+        out._enroll, out._test, out._index = self._enroll, self._test, self._index
+        out._labels, out._scores = self._labels, _readonly(scores)
+        # the key columns are copied by whichever set appends first
+        self._shared_keys = out._shared_keys = True
+        return out
+
+    def scores_in_order_of(self, other):
+        """This set's scores in the row order of `other`, or None when
+        the two sets do not cover the same (enroll, test) pairs."""
+        if self._index is other._index:
+            return self._scores
+        if len(self) != len(other):
+            return None
+        try:
+            rows = np.fromiter(map(self._index.__getitem__, other._index), np.intp, len(other))
+        except KeyError:
+            return None
+        return self._scores[rows]
 
     def append(self, trial, score):
         score = float(score)
@@ -186,29 +301,40 @@ class ScoreSet:
             raise ValueError(f"non-finite score for trial {trial.key}")
         if trial.key in self._index:
             raise DuplicateTrial(f"duplicate trial {trial.key}")
-        self._index[trial.key] = len(self._records)
-        self._records.append((trial, score))
+        if self._shared_keys:
+            self._enroll, self._test = list(self._enroll), list(self._test)
+            self._index = dict(self._index)
+            self._shared_keys = False
+        self._index[trial.key] = len(self._enroll)
+        self._enroll.append(trial.enroll_id)
+        self._test.append(trial.test_id)
+        self._labels = _readonly(np.append(self._labels, np.int8(LABEL_CODE[trial.label])))
+        self._scores = _readonly(np.append(self._scores, score))
 
     def __len__(self):
-        return len(self._records)
+        return len(self._enroll)
 
     def __iter__(self):
-        return iter(self._records)
+        labels, scores = self._labels.tolist(), self._scores.tolist()
+        for e, t, code, s in zip(self._enroll, self._test, labels, scores):
+            yield Trial(e, t, LABELS[code]), s
 
     def __contains__(self, key):
         return key in self._index
 
     def score_of(self, key):
-        return self._records[self._index[key]][1]
-
-    def trial_of(self, key):
-        return self._records[self._index[key]][0]
+        return float(self._scores[self._index[key]])
 
     def keys(self):
-        return [t.key for t, _ in self._records]
+        return list(self._index)
 
     def scores(self):
-        return np.array([s for _, s in self._records], dtype=np.float64)
+        return self._scores.copy()
+
+    def columns(self):
+        """(enroll IDs, test IDs, label codes, scores): two tuples and
+        two read-only arrays, in record order."""
+        return tuple(self._enroll), tuple(self._test), self._labels, self._scores
 
 
 def partition_scores(scores):
@@ -217,14 +343,8 @@ def partition_scores(scores):
     Lists keep the original record order. Raises UnlabeledTrial on the
     first record without a label.
     """
-    target, nontarget, spoof = [], [], []
-    buckets = {
-        TrialLabel.TARGET: target,
-        TrialLabel.NONTARGET: nontarget,
-        TrialLabel.SPOOF: spoof,
-    }
-    for trial, score in scores:
-        if trial.label is TrialLabel.UNLABELED:
-            raise UnlabeledTrial(f"trial {trial.key} has no label")
-        buckets[trial.label].append(score)
-    return target, nontarget, spoof
+    codes, values = scores._labels, scores._scores
+    unlabeled = np.flatnonzero(codes == _UNLABELED)
+    if unlabeled.size:
+        raise UnlabeledTrial(f"trial {scores._key(unlabeled[0])} has no label")
+    return tuple(values[codes == code].tolist() for code in range(3))

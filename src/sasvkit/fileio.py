@@ -31,10 +31,16 @@ import zlib
 
 import numpy as np
 
-from .core import Embedding, EmbeddingSet, ScoreSet, Trial, TrialLabel
-from .errors import DimensionDrift, DuplicateId, ParseError
+from .core import LABEL_CODE, LABELS, Embedding, EmbeddingSet, ScoreSet, Trial, TrialLabel
+from .errors import DimensionDrift, DuplicateId, DuplicateTrial, ParseError
 
 MAGIC = b"SASVEMB1"
+
+# score-file label field <-> ScoreSet label code; unlabeled has no field
+_UNLABELED = LABEL_CODE[TrialLabel.UNLABELED]
+_LABEL_TOKENS = {label.value: code for code, label in enumerate(LABELS) if code != _UNLABELED}
+_LABEL_SUFFIX = tuple("" if code == _UNLABELED else " " + label.value
+                      for code, label in enumerate(LABELS))
 
 
 def _open_maybe(path_or_stream, mode):
@@ -201,10 +207,9 @@ def parse_trials(path_or_stream):
             )
         label = TrialLabel.UNLABELED
         if len(fields) == 3:
-            try:
-                label = TrialLabel.from_token(fields[2])
-            except ValueError:
-                raise ParseError(f"unknown label {fields[2]!r}", line=lineno) from None
+            if fields[2] not in _LABEL_TOKENS:
+                raise ParseError(f"unknown label {fields[2]!r}", line=lineno)
+            label = LABELS[_LABEL_TOKENS[fields[2]]]
         try:
             trials.append(Trial(fields[0], fields[1], label))
         except ValueError as e:
@@ -227,41 +232,41 @@ def write_trials(trials, path_or_stream):
 
 def parse_scores(path_or_stream):
     data = _read_all(path_or_stream, "r")
-    out = ScoreSet()
+    enroll, test, labels, scores, lines = [], [], [], [], []
     for lineno, line in enumerate(data.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         fields = line.split()
-        if len(fields) not in (3, 4):
-            raise ParseError(
-                f"expected 3 or 4 fields, got {len(fields)}", line=lineno
-            )
-        label = TrialLabel.UNLABELED
-        if len(fields) == 4:
-            try:
-                label = TrialLabel.from_token(fields[3])
-            except ValueError:
-                raise ParseError(f"unknown label {fields[3]!r}", line=lineno) from None
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) == 3:
+            labels.append(_UNLABELED)
+        elif len(fields) == 4 and fields[3] in _LABEL_TOKENS:
+            labels.append(_LABEL_TOKENS[fields[3]])
+        elif len(fields) == 4:
+            raise ParseError(f"unknown label {fields[3]!r}", line=lineno)
+        else:
+            raise ParseError(f"expected 3 or 4 fields, got {len(fields)}", line=lineno)
         try:
-            score = float(fields[2])
+            scores.append(float(fields[2]))
         except ValueError:
             raise ParseError(f"bad score {fields[2]!r}", line=lineno) from None
-        try:
-            out.append(Trial(fields[0], fields[1], label), score)
-        except ValueError as e:
-            raise ParseError(str(e), line=lineno) from None
-    return out
+        enroll.append(fields[0])
+        test.append(fields[1])
+        lines.append(lineno)
+    try:
+        return ScoreSet.from_columns(enroll, test, labels, scores)
+    except DuplicateTrial as e:
+        raise DuplicateTrial(f"{e} (line {lines[e.row]})") from None
+    except ValueError as e:
+        raise ParseError(str(e), line=lines[e.row]) from None
 
 
 def write_scores(scores, path_or_stream):
+    enroll, test, labels, values = scores.columns()
+    text = "".join([f"{e} {t} {v!r}{_LABEL_SUFFIX[c]}\n"
+                    for e, t, v, c in zip(enroll, test, values.tolist(), labels.tolist())])
     fh, owned = _open_maybe(path_or_stream, "w")
     try:
-        for t, s in scores:
-            line = f"{t.enroll_id} {t.test_id} {repr(s)}"
-            if t.label is not TrialLabel.UNLABELED:
-                line += f" {t.label.value}"
-            fh.write(line + "\n")
+        fh.write(text)
     finally:
         if owned:
             fh.close()

@@ -21,6 +21,7 @@ the cost of the better of the two dummy systems (accept-all /
 reject-all).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +56,14 @@ class ADcfConfig:
     pi_spoof: float = 0.05
 
     def __post_init__(self):
+        # written so that NaN fails too
         for name in ("c_miss", "c_fa_nontarget", "c_fa_spoof"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0")
         priors = (self.pi_target, self.pi_nontarget, self.pi_spoof)
-        if any(p <= 0 for p in priors):
-            raise ValueError("priors must be positive")
+        if not all(p > 0 and math.isfinite(p) for p in priors):
+            raise ValueError("priors must be finite and positive")
         if abs(sum(priors) - 1.0) > 1e-9:
             raise ValueError("priors must sum to 1")
 

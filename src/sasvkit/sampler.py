@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ScoreSet, Trial, TrialLabel
+from .core import LABEL_CODE, ScoreSet, TrialLabel
 from .errors import (
     BadParams,
     DimensionMismatch,
@@ -265,7 +265,6 @@ def eval_toy(model, dataset, n_trials, seed=0):
     held = raw / np.linalg.norm(raw, axis=2, keepdims=True)
     emb = np.stack([model.embed(held[s]) for s in range(n_spk)])
 
-    out = ScoreSet()
     if n_spk < 2:
         n_target, n_nontarget = n_trials, 0
     else:
@@ -275,27 +274,21 @@ def eval_toy(model, dataset, n_trials, seed=0):
     def utt_id(s, u):
         return f"{dataset.speaker_ids[s]}-ho{u:03d}"
 
-    made = set()
-    while len(out) < n_target:
+    made = {}  # (enroll, test) -> cosine, targets first
+    while len(made) < n_target:
         s = int(rng.integers(n_spk))
         u1, u2 = rng.choice(per_spk, size=2, replace=False)
         key = (utt_id(s, u1), utt_id(s, u2))
-        if key in made:
-            continue
-        made.add(key)
-        out.append(
-            Trial(key[0], key[1], TrialLabel.TARGET),
-            cosine(emb[s, u1], emb[s, u2]),
-        )
-    while len(out) < n_target + n_nontarget:
+        if key not in made:
+            made[key] = cosine(emb[s, u1], emb[s, u2])
+    while len(made) < n_target + n_nontarget:
         s1, s2 = rng.choice(n_spk, size=2, replace=False)
         u1, u2 = int(rng.integers(per_spk)), int(rng.integers(per_spk))
         key = (utt_id(s1, u1), utt_id(s2, u2))
-        if key in made:
-            continue
-        made.add(key)
-        out.append(
-            Trial(key[0], key[1], TrialLabel.NONTARGET),
-            cosine(emb[s1, u1], emb[s2, u2]),
-        )
-    return out
+        if key not in made:
+            made[key] = cosine(emb[s1, u1], emb[s2, u2])
+    labels = [LABEL_CODE[TrialLabel.TARGET]] * n_target
+    labels += [LABEL_CODE[TrialLabel.NONTARGET]] * n_nontarget
+    return ScoreSet.from_columns(
+        [e for e, _ in made], [t for _, t in made], labels, list(made.values())
+    )

@@ -27,11 +27,13 @@ to a few ulps rather than bit for bit.
 All functions are pure; scores are float64 throughout.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .core import ScoreSet, Trial
+from .core import LABEL_CODE, ScoreSet
 from .errors import (
     BadWeights,
     DimensionMismatch,
@@ -170,8 +172,10 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
     first missing one in trial order.
     """
     trials = list(trials)
+    enroll_ids = [t.enroll_id for t in trials]
+    test_ids = [t.test_id for t in trials]
     try:
-        rows = embeddings.rows(i for t in trials for i in (t.enroll_id, t.test_id))
+        rows = embeddings.rows(chain.from_iterable(zip(enroll_ids, test_ids)))
     except KeyError as e:
         raise MissingEmbedding(f"no embedding for ID {e.args[0]!r}") from None
     if not trials:
@@ -193,17 +197,17 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
         np.maximum(sigma, cfg.min_sigma, out=sigma)
         ie, it = inverse[0::2], inverse[1::2]
         scores = 0.5 * ((scores - mu[ie]) / sigma[ie] + (scores - mu[it]) / sigma[it])
-    return ScoreSet(zip(trials, scores.tolist()))
+    labels = [LABEL_CODE[t.label] for t in trials]
+    return ScoreSet.from_columns(enroll_ids, test_ids, labels, scores)
 
 
-def _require_same_trials(a, b):
+def _mismatch(a, b):
     ka, kb = set(a.keys()), set(b.keys())
-    if ka != kb:
-        only_a = sorted(ka - kb)
-        only_b = sorted(kb - ka)
-        raise TrialMismatch(
-            f"trial sets differ; only in first: {only_a[:5]}, only in second: {only_b[:5]}"
-        )
+    only_a = sorted(ka - kb)
+    only_b = sorted(kb - ka)
+    return TrialMismatch(
+        f"trial sets differ; only in first: {only_a[:5]}, only in second: {only_b[:5]}"
+    )
 
 
 def cascade(sd_scores, asv_scores, cfg):
@@ -211,14 +215,14 @@ def cascade(sd_scores, asv_scores, cfg):
 
     A trial whose spoof-detector score is strictly below cfg.sd_threshold
     gets cfg.reject_score; otherwise it keeps its ASV score. Equality
-    counts as bona fide. Output order follows asv_scores.
+    counts as bona fide. Output order (and labels) follow asv_scores.
     """
-    _require_same_trials(sd_scores, asv_scores)
-    out = ScoreSet()
-    for trial, asv in asv_scores:
-        sd = sd_scores.score_of(trial.key)
-        out.append(trial, cfg.reject_score if sd < cfg.sd_threshold else asv)
-    return out
+    sd = sd_scores.scores_in_order_of(asv_scores)
+    if sd is None:
+        raise _mismatch(sd_scores, asv_scores)
+    return asv_scores.with_scores(
+        np.where(sd < cfg.sd_threshold, cfg.reject_score, asv_scores.scores())
+    )
 
 
 def ensemble(sets, weights=None):
@@ -226,7 +230,9 @@ def ensemble(sets, weights=None):
 
     All sets must cover the same (enroll, test) pairs; the output keeps
     the trial order (and labels) of the first set. Default weights are
-    equal.
+    equal. Weights must be finite and sum to a positive value; an
+    individual weight may be negative, as learned linear score fusion
+    can give.
     """
     if len(sets) == 0:
         raise ValueError("ensemble needs at least one score set")
@@ -234,13 +240,16 @@ def ensemble(sets, weights=None):
         weights = [1.0] * len(sets)
     if len(weights) != len(sets):
         raise BadWeights(f"{len(weights)} weights for {len(sets)} score sets")
+    if not all(math.isfinite(w) for w in weights):
+        raise BadWeights(f"weights must be finite, got {list(weights)}")
     total = float(sum(weights))
     if total <= 0:
         raise BadWeights("weights must sum to a positive value")
-    for other in sets[1:]:
-        _require_same_trials(sets[0], other)
-    out = ScoreSet()
-    for trial, _ in sets[0]:
-        value = sum(w * s.score_of(trial.key) for w, s in zip(weights, sets))
-        out.append(trial, value / total)
-    return out
+    first = sets[0]
+    value = 0.0
+    for w, s in zip(weights, sets):
+        scores = s.scores_in_order_of(first)
+        if scores is None:
+            raise _mismatch(first, s)
+        value = value + w * scores
+    return first.with_scores(value / total)

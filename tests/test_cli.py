@@ -77,6 +77,25 @@ def test_score_top_k_below_1_is_a_usage_error(tmp_path, capsys):
         assert main(["score", "--trials", missing, "--embeddings", missing,
                      "--cohort", missing, "--top-k", k, "--out", missing]) == 1
         assert "top_k must be >= 1" in capsys.readouterr().err
+        assert main(["moe-demo", "--layers", missing, "--gate", missing,
+                     "--top-k", k]) == 1
+        assert "top_k must be >= 1" in capsys.readouterr().err
+
+
+def test_ensemble_non_finite_weight_names_the_weights(tmp_path, capsys):
+    scores = tmp_path / "scores.txt"
+    scores.write_text("e t 0.5\n")
+    out = str(tmp_path / "out.txt")
+    assert main(["ensemble", "--in", f"{scores},{scores}", "--weights", "nan,1",
+                 "--out", out]) == 2
+    assert "weights must be finite, got [nan, 1.0]" in capsys.readouterr().err
+
+
+def test_duplicate_score_line_is_located(tmp_path, capsys):
+    scores = tmp_path / "scores.txt"
+    scores.write_text("e t 0.5 target\ne t 0.7 target\n")
+    assert main(["eval", "--scores", str(scores)]) == 2
+    assert "duplicate trial ('e', 't') (line 2)" in capsys.readouterr().err
 
 
 def test_cascade_all_rejected(tmp_path):

@@ -95,6 +95,41 @@ def test_score_set_rejects_duplicates_and_nonfinite():
         s.append(Trial("e", "t2"), float("nan"))
 
 
+def test_from_columns_reports_the_first_offending_record():
+    nan, unlabeled = float("nan"), 3
+    with pytest.raises(ValueError, match=r"non-finite score for trial \('e', 't2'\)") as info:
+        ScoreSet.from_columns(["e"] * 3, ["t", "t2", "t"], [unlabeled] * 3, [0.0, nan, 1.0])
+    assert info.value.row == 1
+    with pytest.raises(DuplicateTrial, match=r"^duplicate trial \('e', 't'\)$") as info:
+        ScoreSet.from_columns(["e"] * 3, ["t", "t", "t2"], [unlabeled] * 3, [0.0, 1.0, nan])
+    assert info.value.row == 1
+    # a repeated record with a non-finite score fails on the score, as in append
+    with pytest.raises(ValueError, match="non-finite"):
+        ScoreSet.from_columns(["e", "e"], ["t", "t"], [unlabeled] * 2, [0.0, nan])
+    with pytest.raises(ValueError, match="differ in length"):
+        ScoreSet.from_columns(["e"], ["t"], [unlabeled], [0.0, 1.0])
+    with pytest.raises(ValueError, match="non-empty"):
+        ScoreSet.from_columns([""], ["t"], [unlabeled], [0.0])
+    s = ScoreSet.from_columns(["e", "e"], ["t", "t2"], [0, 3], [0.5, -1.0])
+    assert list(s) == [(Trial("e", "t", TrialLabel.TARGET), 0.5), (Trial("e", "t2"), -1.0)]
+
+
+def test_derived_set_shares_keys_until_either_appends():
+    src = ScoreSet([(Trial("e", "t", TrialLabel.TARGET), 1.0)])
+    derived = src.with_scores([2.0])
+    assert derived.scores_in_order_of(src).tolist() == [2.0]
+    derived.append(Trial("e", "t2"), 3.0)
+    src.append(Trial("e", "t3", TrialLabel.SPOOF), 4.0)
+    assert src.keys() == [("e", "t"), ("e", "t3")]
+    assert derived.keys() == [("e", "t"), ("e", "t2")]
+    assert src.scores().tolist() == [1.0, 4.0]
+    assert derived.scores().tolist() == [2.0, 3.0]
+    assert [t.label for t, _ in derived] == [TrialLabel.TARGET, TrialLabel.UNLABELED]
+    assert ("e", "t3") not in derived and derived.scores_in_order_of(src) is None
+    src.scores()[0] = 9.0  # a copy
+    assert src.score_of(("e", "t")) == 1.0
+
+
 def test_partition_scores_examples():
     s = ScoreSet(
         [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sasvkit.core import Embedding, EmbeddingSet, ScoreSet, Trial, TrialLabel
-from sasvkit.errors import DimensionDrift, DuplicateId, ParseError
+from sasvkit.errors import DimensionDrift, DuplicateId, DuplicateTrial, ParseError
 from sasvkit.fileio import (
     parse_embeddings,
     parse_gate_params,
@@ -179,6 +179,17 @@ def test_parse_scores_errors():
         parse_scores(io.StringIO("e t\n"))
 
 
+def test_parse_scores_locates_duplicates_and_non_finite_scores():
+    text = "e t 1.0\n# comment\n\ne2 t 2.0\ne t 3.0\n"
+    with pytest.raises(DuplicateTrial, match=r"duplicate trial \('e', 't'\) \(line 5\)$"):
+        parse_scores(io.StringIO(text))
+    with pytest.raises(ParseError, match=r"non-finite score for trial \('e2', 't'\) \(line 2\)"):
+        parse_scores(io.StringIO("e t 1.0\ne2 t nan\ne t 3.0\n"))
+    # the first offending record decides, as when appending one by one
+    with pytest.raises(DuplicateTrial, match=r"\(line 2\)"):
+        parse_scores(io.StringIO("e t 1.0\ne t 2.0\ne2 t inf\n"))
+
+
 def test_gate_params_round_trip():
     rng = np.random.default_rng(8)
     weight = rng.standard_normal((5, 7))
@@ -188,3 +199,11 @@ def test_gate_params_round_trip():
     w2, b2 = parse_gate_params(io.StringIO(buf.getvalue()))
     assert np.allclose(w2, weight, atol=1e-6)
     assert np.allclose(b2, bias, atol=1e-6)
+
+
+def test_label_fields_are_the_three_labels():
+    for text in ("e t 1.0 unlabeled\n", "e t 1.0 Target\n"):
+        with pytest.raises(ParseError, match="unknown label"):
+            parse_scores(io.StringIO(text))
+    with pytest.raises(ParseError, match="unknown label"):
+        parse_trials(io.StringIO("e t unlabeled\n"))

@@ -87,6 +87,20 @@ def test_adcf_config_validation():
         ADcfConfig(pi_target=0.5, pi_nontarget=0.2, pi_spoof=0.2)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["c_miss", "c_fa_nontarget", "c_fa_spoof"])
+def test_adcf_config_rejects_non_finite_costs(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ADcfConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["pi_target", "pi_nontarget", "pi_spoof"])
+def test_adcf_config_rejects_non_finite_priors(field, bad):
+    with pytest.raises(ValueError, match="priors must be finite"):
+        ADcfConfig(**{field: bad})
+
+
 def test_a_dcf_perfect_system():
     s = _labeled_set(target=[2.0, 1.5], nontarget=[-1.0], spoof=[-5.0])
     minimum, tau, normalized = a_dcf(s)

@@ -1,9 +1,12 @@
+import io
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sasvkit.core import Embedding, EmbeddingSet, ScoreSet, Trial, TrialLabel
+from sasvkit.core import Embedding, EmbeddingSet, ScoreSet, Trial, TrialLabel, partition_scores
 from sasvkit.errors import (
     BadWeights,
     DimensionMismatch,
@@ -11,8 +14,10 @@ from sasvkit.errors import (
     EmptyList,
     MissingEmbedding,
     TrialMismatch,
+    UnlabeledTrial,
     ZeroNorm,
 )
+from sasvkit.fileio import parse_scores, write_scores
 from sasvkit.scoring import (
     AsNormConfig,
     CascadeConfig,
@@ -312,3 +317,100 @@ def test_ensemble_errors():
         ensemble([s1, _scoreset([(("x", "y"), 1.0)])])
     with pytest.raises(ValueError):
         ensemble([])
+
+
+def test_ensemble_non_finite_weights():
+    s1 = _scoreset([(("e", "t"), 1.0)])
+    for weights in ([float("nan"), 1.0], [1.0, float("inf")], [float("-inf"), 1.0]):
+        with pytest.raises(BadWeights, match="weights must be finite"):
+            ensemble([s1, s1], weights=weights)
+
+
+def test_ensemble_negative_weight_with_positive_sum():
+    s1 = _scoreset([(("e", "t"), 1.0)])
+    s3 = _scoreset([(("e", "t"), 3.0)])
+    assert ensemble([s1, s3], weights=[-1.0, 2.0]).score_of(("e", "t")) == 5.0
+    with pytest.raises(BadWeights, match="positive"):
+        ensemble([s1, s3], weights=[-2.0, 1.0])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+_LABELS = list(TrialLabel)
+# a few repeated values, so ties and a threshold equal to a score occur
+_SCORE = st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 0.25]),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def _aligned_sets(draw):
+    """Two score sets over the same keys, the second in a random order,
+    with the drawn keys and labels of the first."""
+    ids = st.sampled_from(["a", "b", "c", "d"])
+    keys = draw(st.lists(st.tuples(ids, ids), unique=True, max_size=10))
+    n = len(keys)
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    labels, other_labels = column(st.sampled_from(_LABELS)), column(st.sampled_from(_LABELS))
+    first, second = column(_SCORE), column(_SCORE)
+    perm = draw(st.permutations(range(n)))
+    a = ScoreSet.from_columns([e for e, _ in keys], [t for _, t in keys],
+                              [_LABELS.index(label) for label in labels], first)
+    b = ScoreSet((Trial(*keys[i], other_labels[i]), second[i]) for i in perm)
+    threshold = draw(st.sampled_from(second) if n and draw(st.booleans()) else _SCORE)
+    weights = draw(st.tuples(st.floats(-4, 4), st.floats(-4, 4)).filter(lambda w: sum(w) >= 0.25))
+    return keys, labels, a, b, threshold, weights
+
+
+def _round_trip(scores):
+    buf = io.StringIO()
+    write_scores(scores, buf)
+    parsed = parse_scores(io.StringIO(buf.getvalue()))
+    assert parsed.keys() == scores.keys()
+    assert [t for t, _ in parsed] == [t for t, _ in scores]
+    assert _bits(parsed.scores()) == _bits(scores.scores())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_aligned_sets())
+def test_columnar_ops_match_per_key_composition(case):
+    keys, labels, a, b, threshold, weights = case
+    assert a.keys() == keys and [t.label for t, _ in a] == labels
+
+    cfg = CascadeConfig(sd_threshold=threshold, reject_score=-7.5)
+    out = cascade(b, a, cfg)
+    ref = [-7.5 if b.score_of(k) < threshold else a.score_of(k) for k in keys]
+    assert out.keys() == keys and [t.label for t, _ in out] == labels
+    assert _bits(out.scores()) == _bits(ref)
+    _round_trip(out)
+
+    w1, w2 = weights
+    for x, y in ((a, b), (b, a)):
+        out = ensemble([x, y], [w1, w2])
+        ref = [(0.0 + w1 * x.score_of(k) + w2 * y.score_of(k)) / (w1 + w2) for k in x.keys()]
+        assert out.keys() == x.keys()
+        assert [t for t, _ in out] == [t for t, _ in x]
+        assert _bits(out.scores()) == _bits(ref)
+        _round_trip(out)
+
+    if TrialLabel.UNLABELED in labels:
+        first = keys[labels.index(TrialLabel.UNLABELED)]
+        with pytest.raises(UnlabeledTrial, match=re.escape(str(first))):
+            partition_scores(a)
+    else:
+        for label, got in zip(_LABELS, partition_scores(a)):
+            ref = [a.score_of(k) for k, lab in zip(keys, labels) if lab is label]
+            assert _bits(got) == _bits(ref)
+
+    if keys:
+        # one key replaced (same length), and one key missing
+        replaced = ScoreSet((Trial(*k), 1.0) for k in keys[1:] + [("z", "z")])
+        for other in (replaced, ScoreSet((Trial(*k), 1.0) for k in keys[1:])):
+            with pytest.raises(TrialMismatch):
+                cascade(other, a, cfg)
+            with pytest.raises(TrialMismatch):
+                ensemble([a, other])
