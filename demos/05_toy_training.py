@@ -39,7 +39,7 @@ started = time.perf_counter()
 model, history = train_toy(
     dataset,
     model0,
-    TrainConfig(steps=500, learning_rate=0.05, seed=0),
+    TrainConfig(steps=500, learning_rate=0.05),
     PkConfig(P=8, K=4, seed=0),
 )
 elapsed = time.perf_counter() - started

@@ -257,8 +257,7 @@ def _cmd_train_toy(args):
                                     args.noise, args.data_seed)
     model0 = sampler.ToyModel.random(args.emb_dim, args.dim, args.speakers,
                                      seed=args.train_seed)
-    tc = sampler.TrainConfig(steps=args.steps, learning_rate=args.lr,
-                             seed=args.train_seed)
+    tc = sampler.TrainConfig(steps=args.steps, learning_rate=args.lr)
     pk = sampler.PkConfig(P=args.p, K=args.k, seed=args.train_seed)
 
     eer0, _ = metrics.sv_eer(sampler.eval_toy(model0, dataset, args.eval_trials,

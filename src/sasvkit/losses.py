@@ -20,14 +20,14 @@ Two losses are implemented:
 
 Gradients are exact derivatives of the computation actually performed,
 including normalization of the raw inputs and the arccos clamp (a
-clamped coordinate contributes zero gradient). No autodiff framework is
-involved; everything is verified against central finite differences.
+clamped coordinate contributes zero gradient). The kernels are numpy
+only, with no autodiff framework; all are checked by finite differences.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, log_softmax, logsumexp, softmax
 
 from .errors import InvalidBatch, ValueOutOfRange
 
@@ -39,10 +39,10 @@ class SphereFaceConfig:
     cos_clamp_eps: float = 1e-7
 
     def __post_init__(self):
-        if self.scale_s <= 0:
-            raise ValueError("scale_s must be > 0")
-        if self.margin_m < 1:
-            raise ValueError("margin_m must be >= 1")
+        if not (self.scale_s > 0 and math.isfinite(self.scale_s)):
+            raise ValueError("scale_s must be finite and > 0")
+        if not (self.margin_m >= 1 and math.isfinite(self.margin_m)):
+            raise ValueError("margin_m must be finite and >= 1")
         if not 0 < self.cos_clamp_eps < 1:
             raise ValueError("cos_clamp_eps must be in (0, 1)")
 
@@ -54,12 +54,12 @@ class CircleConfig:
     weight: float = 0.2
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValueError("gamma must be finite and > 0")
         if not 0 < self.margin < 1:
             raise ValueError("margin must be in (0, 1)")
-        if self.weight < 0:
-            raise ValueError("weight must be >= 0")
+        if not (self.weight >= 0 and math.isfinite(self.weight)):
+            raise ValueError("weight must be finite and >= 0")
 
     # derived constants of the pairwise loss
     @property
@@ -145,6 +145,12 @@ def _normalize_rows(M):
     return M / norms, norms[:, 0]
 
 
+def _log_softmax(z, axis=-1):
+    # max-shifted, so exp never overflows
+    shifted = z - np.max(z, axis=axis, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+
 def _backprop_row_normalization(G_hat, M_hat, norms):
     # d(x/||x||)/dx applied to upstream gradient G_hat:
     # (G_hat - <G_hat, x_hat> x_hat) / ||x||
@@ -181,9 +187,10 @@ def sphereface_loss(batch, cfg=SphereFaceConfig()):
         logits[rows, y] = s * np.cos(m * theta)
         dtarget_dc = s * m * np.sin(m * theta) / np.sqrt(1.0 - cy * cy)
 
-    loss = float(-np.mean(log_softmax(logits, axis=1)[rows, y]))
+    log_p = _log_softmax(logits, axis=1)
+    loss = float(-np.mean(log_p[rows, y]))
 
-    dZ = softmax(logits, axis=1)
+    dZ = np.exp(log_p)
     dZ[rows, y] -= 1.0
     dZ /= B
     dC = dZ * s
@@ -247,13 +254,14 @@ def circle_loss(pairs, cfg=CircleConfig(), alphas=None):
 
     logit_p = -g * a_p * (sp - cfg.delta_p)
     logit_n = g * a_n * (sn - cfg.delta_n)
-    u = logsumexp(logit_p)
-    v = logsumexp(logit_n)
-    loss = float(np.logaddexp(0.0, u + v))  # log(1 + e^(u+v)), stable
+    log_p, log_n = _log_softmax(logit_p), _log_softmax(logit_n)
+    # logsumexp(z) = z - log_softmax(z), read at the max where it is exact
+    t = (np.max(logit_p) - np.max(log_p)) + (np.max(logit_n) - np.max(log_n))
+    loss = float(np.logaddexp(0.0, t))  # log(1 + e^t), stable
 
-    sig = expit(u + v)
-    grad_sp = sig * softmax(logit_p) * (-g * a_p)
-    grad_sn = sig * softmax(logit_n) * (g * a_n)
+    sig = np.exp(t - loss)  # sigmoid(t)
+    grad_sp = sig * np.exp(log_p) * (-g * a_p)
+    grad_sn = sig * np.exp(log_n) * (g * a_n)
     return loss, grad_sp, grad_sn
 
 
@@ -264,24 +272,13 @@ def circle_alphas(pairs, cfg=CircleConfig()):
     return a_p, a_n
 
 
-def _chain_pair_grads_to_rows(grad_out, pair_grads, pairs_idx, Xh, norms):
-    # s = x_hat_i . x_hat_j ; ds/dx_i = (x_hat_j - s x_hat_i)/||x_i||
-    if pairs_idx is None or len(pairs_idx) == 0:
-        return
-    i, j = pairs_idx[:, 0], pairs_idx[:, 1]
-    s = np.sum(Xh[i] * Xh[j], axis=1)
-    gi = pair_grads[:, None] * (Xh[j] - s[:, None] * Xh[i]) / norms[i, None]
-    gj = pair_grads[:, None] * (Xh[i] - s[:, None] * Xh[j]) / norms[j, None]
-    np.add.at(grad_out, i, gi)
-    np.add.at(grad_out, j, gj)
-
-
 def combined_loss(batch, sf=SphereFaceConfig(), cc=CircleConfig(), frozen_alphas=None):
     """Angular-margin loss plus weighted pairwise loss over mined pairs.
 
     Gradients of the pairwise term are chained through the within-batch
-    pair mining back to the raw embeddings. With cc.weight == 0 the
-    result equals sphereface_loss exactly.
+    pair mining back to the raw embeddings: with G the BxB matrix of
+    pair gradients (G[i, j] = dL/ds_ij), dL/dX_hat = (G + G.T) @ X_hat.
+    With cc.weight == 0 the result equals sphereface_loss exactly.
     """
     sf_loss, grad_X, grad_W = sphereface_loss(batch, sf)
     if cc.weight == 0.0 or batch.size < 2:
@@ -293,9 +290,11 @@ def combined_loss(batch, sf=SphereFaceConfig(), cc=CircleConfig(), frozen_alphas
     if c_loss == 0.0:
         return total, grad_X, grad_W
 
+    G = np.zeros((batch.size, batch.size))
+    G[tuple(pairs.pos_pairs.T)] = cc.weight * grad_sp
+    G[tuple(pairs.neg_pairs.T)] = cc.weight * grad_sn
     Xh, xn = _normalize_rows(batch.embeddings)
-    _chain_pair_grads_to_rows(grad_X, cc.weight * grad_sp, pairs.pos_pairs, Xh, xn)
-    _chain_pair_grads_to_rows(grad_X, cc.weight * grad_sn, pairs.neg_pairs, Xh, xn)
+    grad_X += _backprop_row_normalization((G + G.T) @ Xh, Xh, xn)
     return total, grad_X, grad_W
 
 

@@ -30,12 +30,12 @@ from .scoring import cosine
 class SpeakerDataset:
     """Speaker-ID -> feature matrix map plus the generation config.
 
-    `means` (one unit direction per speaker) and the noise/seed config
-    are retained so held-out utterances can be drawn from the same
+    `means` (one unit direction per speaker) and the noise level are
+    retained so held-out utterances can be drawn from the same
     distribution at evaluation time.
     """
 
-    def __init__(self, speakers, means=None, noise=None, seed=None):
+    def __init__(self, speakers, means=None, noise=None):
         if len(speakers) < 1:
             raise BadParams("dataset needs at least one speaker")
         dims = set()
@@ -53,7 +53,6 @@ class SpeakerDataset:
         self.d_in = dims.pop()
         self.means = means
         self.noise = noise
-        self.seed = seed
 
     @property
     def n_speakers(self):
@@ -131,13 +130,12 @@ class TrainConfig:
     learning_rate: float = 1e-3
     sphereface: SphereFaceConfig = field(default_factory=SphereFaceConfig)
     circle: CircleConfig = field(default_factory=CircleConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if self.steps < 0:
             raise BadParams("steps must be >= 0")
-        if self.learning_rate <= 0:
-            raise BadParams("learning_rate must be > 0")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise BadParams("learning_rate must be finite and > 0")
 
 
 def _random_unit_vectors(rng, n, d):
@@ -157,7 +155,7 @@ def gen_synthetic(n_speakers, utts_per_speaker, d_in, noise, seed=0):
     for i in range(n_speakers):
         raw = means[i] + noise * rng.standard_normal((utts_per_speaker, d_in))
         speakers[f"spk{i:03d}"] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return SpeakerDataset(speakers, means=means, noise=noise, seed=seed)
+    return SpeakerDataset(speakers, means=means, noise=noise)
 
 
 def pk_batches(dataset, cfg):

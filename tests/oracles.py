@@ -3,9 +3,13 @@
 These deliberately avoid the library's vectorized implementations:
 candidate thresholds are midpoints between consecutive distinct scores
 (plus the infinities), and rates are counted with plain Python loops.
+The pair-gradient chain scatters each pair's contribution into its two
+rows one pair at a time instead of forming the dense BxB product.
 """
 
 import math
+
+import numpy as np
 
 
 def frr_at(pos, tau):
@@ -47,3 +51,18 @@ def oracle_a_dcf(target, nontarget, spoof, cfg):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def chain_pair_grads_per_pair(grad_out, pair_grads, pairs_idx, X):
+    """Add dL/dX for pair gradients dL/ds_ij, s_ij = cos(x_i, x_j), into
+    grad_out, pair by pair: ds/dx_i = (x_hat_j - s x_hat_i) / ||x_i||."""
+    if pairs_idx is None or len(pairs_idx) == 0:
+        return
+    norms = np.linalg.norm(X, axis=1)
+    Xh = X / norms[:, None]
+    i, j = pairs_idx[:, 0], pairs_idx[:, 1]
+    s = np.sum(Xh[i] * Xh[j], axis=1)
+    gi = pair_grads[:, None] * (Xh[j] - s[:, None] * Xh[i]) / norms[i, None]
+    gj = pair_grads[:, None] * (Xh[i] - s[:, None] * Xh[j]) / norms[j, None]
+    np.add.at(grad_out, i, gi)
+    np.add.at(grad_out, j, gj)

@@ -242,7 +242,7 @@ def test_criterion_5_moe_sparsity_and_invariance():
 def test_criterion_6_toy_training_end_to_end():
     started = time.perf_counter()
     dataset = gen_synthetic(20, 30, 32, noise=0.15, seed=0)
-    tc = TrainConfig(steps=500, learning_rate=0.05, seed=0)
+    tc = TrainConfig(steps=500, learning_rate=0.05)
     pk = PkConfig(P=8, K=4, seed=0)
     runs = []
     for _ in range(2):

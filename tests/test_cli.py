@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sasvkit import fileio, metrics, scoring
+import sasvkit
+from sasvkit import fileio, metrics, sampler, scoring
 from sasvkit.cli import main
 from sasvkit.core import Embedding, EmbeddingSet, ScoreSet, Trial, TrialLabel
 from sasvkit.moe import GateParams
@@ -204,6 +210,27 @@ def test_train_toy_quick(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "initial_sv_eer=" in out and "final_sv_eer=" in out
     assert len(hist.read_text().splitlines()) == 20
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0"])
+def test_train_toy_bad_learning_rate_exits_2_before_training(lr, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(sampler, "train_toy", no_training)
+    assert main(["train-toy", "--steps", "5", f"--lr={lr}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "learning_rate must be finite and > 0" in captured.err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(sasvkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, sasvkit.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_grad_check_command(capsys):

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import log_softmax
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.special import expit, log_softmax, logsumexp, softmax
 
+from oracles import chain_pair_grads_per_pair
 from sasvkit.errors import InvalidBatch, ValueOutOfRange
 from sasvkit.losses import (
     CircleConfig,
     LossBatch,
     PairSet,
     SphereFaceConfig,
+    _log_softmax,
     circle_alphas,
     circle_loss,
     combined_loss,
@@ -36,6 +41,18 @@ def test_config_validation():
         CircleConfig(margin=1.0)
     with pytest.raises(ValueError):
         CircleConfig(weight=-0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_validation_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        SphereFaceConfig(scale_s=bad)
+    with pytest.raises(ValueError):
+        SphereFaceConfig(margin_m=bad)
+    with pytest.raises(ValueError):
+        CircleConfig(gamma=bad)
+    with pytest.raises(ValueError):
+        CircleConfig(weight=bad)
 
 
 def test_loss_batch_validation():
@@ -242,3 +259,100 @@ def test_grad_check_reports_exclusions():
     assert report.excluded_indices == [0, 1]
     assert report.n_checked == 0
     assert "PASS" in str(report)
+
+
+@st.composite
+def _pair_batches(draw):
+    """A loss batch plus configs covering the pair-chain edge cases.
+
+    Labels are mixed, all equal (no negative pairs) or all distinct (no
+    positive pairs); B goes down to 2; some rows repeat another row's
+    direction at another norm, so their pair cosine is exactly 1; the
+    self-paced weights are live or frozen away from their live values.
+    """
+    B = draw(st.integers(2, 10))
+    D = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((B, D))
+    row = st.integers(0, B - 1)
+    for dst, src in draw(st.lists(st.tuples(row, row), max_size=3)):
+        X[dst] = draw(st.sampled_from([1.0, 2.5])) * X[src]
+    kind = draw(st.sampled_from(["mixed", "same", "distinct"]))
+    if kind == "mixed":
+        y = rng.integers(0, draw(st.integers(2, 3)), size=B)
+    elif kind == "same":
+        y = np.zeros(B, dtype=np.int64)
+    else:
+        y = np.arange(B)
+    batch = LossBatch(X, rng.standard_normal((B + 1, D)), y)
+    cc = CircleConfig(gamma=draw(st.sampled_from([1.0, 10.0, 80.0])),
+                      weight=draw(st.sampled_from([0.2, 1.0])))
+    frozen = None
+    if draw(st.booleans()):
+        a_p, a_n = circle_alphas(mine_pairs(X, y), cc)
+        frozen = (a_p * rng.uniform(0.5, 1.5, a_p.size),
+                  a_n * rng.uniform(0.5, 1.5, a_n.size))
+    return batch, cc, frozen
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_batches())
+def test_combined_loss_dense_backprop_matches_per_pair_chain(case):
+    batch, cc, frozen = case
+    sf = SphereFaceConfig()
+    _, got, _ = combined_loss(batch, sf, cc, frozen_alphas=frozen)
+    _, ref, _ = sphereface_loss(batch, sf)
+    pairs = mine_pairs(batch.embeddings, batch.labels)
+    c_loss, gp, gn = circle_loss(pairs, cc, alphas=frozen)
+    if c_loss != 0.0:
+        chain_pair_grads_per_pair(ref, cc.weight * gp, pairs.pos_pairs, batch.embeddings)
+        chain_pair_grads_per_pair(ref, cc.weight * gn, pairs.neg_pairs, batch.embeddings)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# logits over +-1e3 with frequent exact ties
+_LOGIT = st.one_of(st.sampled_from([-1e3, -1.0, 0.0, 1.0, 1e3]),
+                   st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=8),
+              elements=_LOGIT))
+def test_log_softmax_matches_scipy(z):
+    got = _log_softmax(z, axis=1)
+    ref = log_softmax(z, axis=1)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    p = softmax(z, axis=1)
+    assert np.all(np.abs(np.exp(got) - p) <= 1e-12 * p + 1e-300)
+
+
+def _circle_loss_scipy(pairs, cfg, alphas):
+    # the pairwise loss written with scipy.special, as an oracle
+    sp, sn = pairs.s_p, pairs.s_n
+    a_p, a_n = alphas
+    logit_p = -cfg.gamma * a_p * (sp - cfg.delta_p)
+    logit_n = cfg.gamma * a_n * (sn - cfg.delta_n)
+    t = logsumexp(logit_p) + logsumexp(logit_n)
+    sig = expit(t)
+    return (float(np.logaddexp(0.0, t)),
+            sig * softmax(logit_p) * (-cfg.gamma * a_p),
+            sig * softmax(logit_n) * (cfg.gamma * a_n))
+
+
+_SIM = st.one_of(st.sampled_from([-1.0, -0.25, 0.0, 0.75, 1.0]),
+                 st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SIM, min_size=1, max_size=8), st.lists(_SIM, min_size=1, max_size=8),
+       st.sampled_from([1.0, 80.0, 256.0]))
+def test_circle_loss_matches_scipy(sp, sn, gamma):
+    # with gamma=256 the logits span about +-1e3
+    cfg = CircleConfig(gamma=gamma)
+    pairs = PairSet(sp, sn)
+    alphas = circle_alphas(pairs, cfg)
+    got = circle_loss(pairs, cfg, alphas=alphas)
+    ref = _circle_loss_scipy(pairs, cfg, alphas)
+    assert abs(got[0] - ref[0]) <= 1e-12 * max(1.0, abs(ref[0]))
+    for g, r in zip(got[1:], ref[1:]):
+        assert np.all(np.abs(g - r) <= 1e-12 * np.abs(r) + 1e-300)

@@ -51,6 +51,12 @@ def test_gen_synthetic_bad_params():
         gen_synthetic(3, 0, 8, 0.1)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_train_config_rejects_bad_learning_rate(lr):
+    with pytest.raises(BadParams):
+        TrainConfig(learning_rate=lr)
+
+
 def test_pk_exact_cover():
     ds = gen_synthetic(2, 2, 4, noise=0.1, seed=0)
     batches = pk_batches(ds, PkConfig(P=2, K=2, seed=0))
@@ -115,7 +121,7 @@ def test_first_step_descends_on_its_own_batch():
 
     ds = gen_synthetic(6, 8, 12, noise=0.15, seed=2)
     model0 = ToyModel.random(8, 12, 6, seed=2)
-    tc = TrainConfig(steps=1, learning_rate=1e-3, seed=2)
+    tc = TrainConfig(steps=1, learning_rate=1e-3)
     pk = PkConfig(P=3, K=2, seed=2)
     model, history = train_toy(ds, model0, tc, pk)
     feats, labels = pk_batches(ds, pk)[0]
@@ -143,7 +149,7 @@ def test_training_bit_reproducible():
     for _ in range(2):
         model0 = ToyModel.random(8, 12, 6, seed=4)
         model, history = train_toy(
-            ds, model0, TrainConfig(steps=30, learning_rate=0.05, seed=4),
+            ds, model0, TrainConfig(steps=30, learning_rate=0.05),
             PkConfig(P=3, K=2, seed=4),
         )
         runs.append((model, history))
@@ -172,7 +178,7 @@ def test_eval_toy_single_speaker_all_target():
     mean = rng.standard_normal(6)
     mean /= np.linalg.norm(mean)
     ds = SpeakerDataset(
-        {"only": rng.standard_normal((4, 6))}, means=mean[None, :], noise=0.1, seed=0
+        {"only": rng.standard_normal((4, 6))}, means=mean[None, :], noise=0.1
     )
     model = ToyModel.random(4, 6, 2, seed=0)
     scores = eval_toy(model, ds, 10, seed=1)
