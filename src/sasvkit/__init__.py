@@ -20,7 +20,7 @@ from .scoring import (
     score_trials,
     top_k_cohort_scores,
 )
-from .metrics import ADcfConfig, ErrorRatePoint, a_dcf, det_points, eer, spf_eer, sv_eer
+from .metrics import ADcfConfig, a_dcf, det_points, eer, spf_eer, sv_eer
 from .losses import (
     CircleConfig,
     LossBatch,

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import fileio, metrics, moe, sampler, scoring
-from .core import Trial, TrialLabel
+from .core import EmbeddingSet, Trial, TrialLabel
 from .errors import BadParams, DivergenceDetected, SasvError
 from .losses import (
     CircleConfig,
@@ -218,18 +218,18 @@ def _cmd_moe_demo(args):
 
 
 def _dataset_to_embeddings(dataset):
-    from .core import Embedding, EmbeddingSet
-
-    out = EmbeddingSet()
-    for sid in dataset.speaker_ids:
-        for u, row in enumerate(dataset.speakers[sid]):
-            out.add(Embedding(f"{sid}-utt{u:03d}", row))
-    return out
+    feats = [dataset.speakers[sid] for sid in dataset.speaker_ids]
+    ids = [f"{sid}-utt{u:03d}" for sid, f in zip(dataset.speaker_ids, feats) for u in range(len(f))]
+    return EmbeddingSet.from_matrix(ids, np.concatenate(feats))
 
 
 def _cmd_gen_synth(args):
     dataset = sampler.gen_synthetic(args.speakers, args.utts, args.dim,
                                     args.noise, args.seed)
+    pairs = args.speakers * args.utts * (args.speakers * args.utts - 1)
+    if args.trials_out and not 0 <= args.n_trials <= pairs:
+        raise BadParams(f"--n-trials must be between 0 and {pairs}, the number of "
+                        "ordered pairs of distinct utterances")
     fileio.write_embeddings_text(_dataset_to_embeddings(dataset), args.out)
     if args.trials_out:
         rng = np.random.default_rng(args.seed + 1)
@@ -276,6 +276,8 @@ def _cmd_train_toy(args):
 
 
 def _cmd_grad_check(args):
+    if args.instances < 1:
+        raise BadParams("--instances must be >= 1")
     rng = np.random.default_rng(args.seed)
     sf = SphereFaceConfig()
     cc = CircleConfig()

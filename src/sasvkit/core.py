@@ -5,26 +5,26 @@ Scores are kept as 64-bit floats everywhere; embedding storage is 32-bit
 (matching the on-disk binary format) and is promoted to 64-bit inside
 numerical routines.
 
-An EmbeddingSet is array-backed for the scoring engine: it keeps an
-ID -> row dict as members are added, and on first use builds one
-read-only float32 N x D matrix plus its float64 row norms, cached until
-the next `add`. Building the matrix rebinds each member's `values` to
-its (equal, read-only) row, so the vectors are stored once.
+An EmbeddingSet is one read-only float32 N x D matrix, built at
+construction, and an ID -> row dict. `EmbeddingSet.from_matrix` applies
+an Embedding's checks to whole rows at once, as do construction from
+Embeddings and `add`; members are handed out as Embeddings viewing
+their row.
 
 A ScoreSet is columnar: a list of enroll IDs, a list of test IDs, an
 int8 label code per record (the label's index in LABELS), a float64
 score array and one (enroll, test) -> row dict, which is also the
 duplicate check. `ScoreSet.from_columns` validates whole columns at
-once. A set derived from another (`with_scores`, used by cascade and
-ensemble) shares the source's key columns, index and labels and holds
-only a new score array; whichever set later appends takes a private
-copy of the keys first. `scores_in_order_of` aligns a second set to a
-set's row order with one dict lookup per key, after which combining
-scores is array arithmetic.
+once, and `append` goes through the same checks. A set derived from
+another (`with_scores`, used by cascade and ensemble) shares the
+source's key columns, index and labels and holds only a new score
+array; `append` builds new columns rather than changing shared ones.
+`scores_in_order_of` aligns a second set to a set's row order with one
+dict lookup per key, after which combining scores is array arithmetic.
 """
 
-import math
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 
@@ -51,6 +51,17 @@ class TrialLabel(Enum):
         raise ValueError(f"unknown label {token!r}")
 
 
+def _readonly(array):
+    array.setflags(write=False)
+    return array
+
+
+def _at_row(exc, row):
+    """`exc` carrying the row of the record that raised it."""
+    exc.row = row
+    return exc
+
+
 class Embedding:
     """A unit-normalizable vector identified by an utterance ID.
 
@@ -60,20 +71,18 @@ class Embedding:
     __slots__ = ("id", "values")
 
     def __init__(self, id, values):
-        if not isinstance(id, str) or id == "":
-            raise ValueError("embedding ID must be a non-empty string")
         values = np.asarray(values, dtype=np.float32)
-        if values.ndim != 1 or values.shape[0] < 1:
-            raise DimensionMismatch(
-                f"embedding {id!r}: expected a 1-D vector with D >= 1"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"embedding {id!r} has non-finite components")
-        if not np.any(values != 0.0):
-            raise ValueError(f"embedding {id!r} is the zero vector")
-        values.setflags(write=False)
+        # a vector that is not 1-D fails as a row of D = 0 does
+        _check_rows([id], values[None, :] if values.ndim == 1 else np.empty((1, 0)))
         self.id = id
-        self.values = values
+        self.values = _readonly(values)
+
+    @classmethod
+    def _of_row(cls, id, row):
+        """An Embedding viewing a matrix row that has passed `_check_rows`."""
+        emb = cls.__new__(cls)
+        emb.id, emb.values = id, row
+        return emb
 
     @property
     def dim(self):
@@ -83,73 +92,98 @@ class Embedding:
         return f"Embedding({self.id!r}, dim={self.dim})"
 
 
+def _check_rows(ids, matrix, taken=()):
+    """The ID -> row dict of `matrix`'s rows, numbered after the rows
+    of `taken`. Raises for the first row that is not a valid embedding
+    with a new ID, with its `row` set, checking in order: a non-empty
+    string ID, D >= 1, finite, not zero, an ID not seen before."""
+    bad = np.flatnonzero(~(np.isfinite(matrix).all(axis=1) & matrix.any(axis=1)))
+    first_bad = bad[0] if bad.size else len(ids)
+    index = {}
+    for row, id in enumerate(ids):
+        if not isinstance(id, str) or id == "":
+            exc = ValueError("embedding ID must be a non-empty string")
+        elif row == first_bad and matrix.shape[1] == 0:
+            exc = DimensionMismatch(f"embedding {id!r}: expected a 1-D vector with D >= 1")
+        elif row == first_bad and not np.isfinite(matrix[row]).all():
+            exc = ValueError(f"embedding {id!r} has non-finite components")
+        elif row == first_bad:
+            exc = ValueError(f"embedding {id!r} is the zero vector")
+        elif id in taken or id in index:
+            exc = DuplicateId(f"duplicate embedding ID {id!r}")
+        else:
+            index[id] = len(taken) + row
+            continue
+        raise _at_row(exc, row)
+    return index
+
+
 class EmbeddingSet:
     """ID-indexed collection of embeddings sharing one dimension.
 
+    Row i of `matrix()` is the i-th member (see the module docstring).
     Iteration preserves insertion order, which downstream code relies on
-    for deterministic tie-breaking; row i of `matrix()` is the i-th
-    member. The matrix and norms are built once and handed out
-    read-only; `add` invalidates them.
+    for deterministic tie-breaking. A rejected `add` leaves the set
+    unchanged.
     """
 
     def __init__(self, embeddings=()):
-        self._rows = {}  # id -> row index
-        self._order = []
-        self._arrays_cache = None  # (matrix, norms), built on first use
-        self.dim = None
-        for emb in embeddings:
-            self.add(emb)
+        self._index, self.dim = {}, None  # id -> row, in insertion order
+        self._matrix = _readonly(np.empty((0, 0), np.float32))
+        # one matrix per run of members of one dimension, so a member of
+        # another dimension than the set's fails as it would in `add`
+        for _, run in groupby(embeddings, key=lambda e: e.dim):
+            run = list(run)
+            self._append([e.id for e in run], np.stack([e.values for e in run]))
+
+    @classmethod
+    def from_matrix(cls, ids, matrix):
+        """A set of the rows of an N x D `matrix` under the N `ids`; the
+        first row failing an Embedding's checks or repeating an ID raises
+        with its `row` set. A float32 matrix is kept, made read-only."""
+        out = cls()
+        out._append(list(ids), matrix)
+        return out
 
     def add(self, emb):
-        if self.dim is None:
-            self.dim = emb.dim
-        elif emb.dim != self.dim:
+        self._append([emb.id], emb.values[None, :])
+
+    def _append(self, ids, matrix):
+        matrix = np.asarray(matrix, dtype=np.float32)
+        if matrix.ndim != 2 or matrix.shape[0] != len(ids):
+            raise ValueError("expected an N x D matrix for N IDs")
+        if self.dim is not None and matrix.shape[1] != self.dim:
             raise DimensionMismatch(
-                f"embedding {emb.id!r} has dimension {emb.dim}, set has {self.dim}"
+                f"embedding {ids[0]!r} has dimension {matrix.shape[1]}, set has {self.dim}"
             )
-        if emb.id in self._rows:
-            raise DuplicateId(f"duplicate embedding ID {emb.id!r}")
-        self._rows[emb.id] = len(self._order)
-        self._order.append(emb)
-        self._arrays_cache = None
+        index = _check_rows(ids, matrix, self._index)
+        if ids:
+            self._matrix = _readonly(np.concatenate((self._matrix, matrix)) if self._index else matrix)
+            self._index.update(index)
+            self.dim = matrix.shape[1]
 
     def __len__(self):
-        return len(self._order)
+        return len(self._index)
 
     def __contains__(self, id):
-        return id in self._rows
+        return id in self._index
 
     def __getitem__(self, id):
-        return self._order[self._rows[id]]
+        return Embedding._of_row(id, self._matrix[self._index[id]])
 
     def __iter__(self):
-        return iter(self._order)
+        return map(Embedding._of_row, self._index, self._matrix)
 
     def ids(self):
-        return [e.id for e in self._order]
+        return list(self._index)
 
     def rows(self, ids):
         """Row indices of `ids`; KeyError names the first missing ID."""
-        return np.fromiter(map(self._rows.__getitem__, ids), dtype=np.intp)
+        return np.fromiter(map(self._index.__getitem__, ids), dtype=np.intp)
 
     def matrix(self):
         """Read-only float32 N x D matrix of all vectors in insertion order."""
-        return self._arrays()[0]
-
-    def norms(self):
-        """Read-only float64 Euclidean norm of every row of `matrix()`."""
-        return self._arrays()[1]
-
-    def _arrays(self):
-        if self._arrays_cache is None:
-            mat = np.stack([e.values for e in self._order])
-            mat.setflags(write=False)
-            for emb, row in zip(self._order, mat):
-                emb.values = row
-            norms = np.linalg.norm(mat.astype(np.float64), axis=1)
-            norms.setflags(write=False)
-            self._arrays_cache = (mat, norms)
-        return self._arrays_cache
+        return self._matrix
 
 
 class Trial:
@@ -187,17 +221,6 @@ class Trial:
 LABELS = tuple(TrialLabel)
 LABEL_CODE = {label: code for code, label in enumerate(LABELS)}
 _UNLABELED = LABEL_CODE[TrialLabel.UNLABELED]
-
-
-def _readonly(array):
-    array.setflags(write=False)
-    return array
-
-
-def _at_row(exc, row):
-    """`exc` carrying the row of the record that raised it."""
-    exc.row = row
-    return exc
 
 
 class ScoreSet:
@@ -255,7 +278,6 @@ class ScoreSet:
         if duplicate < n:
             raise _at_row(DuplicateTrial(f"duplicate trial {self._key(duplicate)}"), duplicate)
         self._labels, self._scores = _readonly(labels), _readonly(scores)
-        self._shared_keys = False
 
     def _check_finite(self, scores):
         """Raise ValueError for the first non-finite score."""
@@ -278,8 +300,6 @@ class ScoreSet:
         out = ScoreSet.__new__(ScoreSet)
         out._enroll, out._test, out._index = self._enroll, self._test, self._index
         out._labels, out._scores = self._labels, _readonly(scores)
-        # the key columns are copied by whichever set appends first
-        self._shared_keys = out._shared_keys = True
         return out
 
     def scores_in_order_of(self, other):
@@ -296,20 +316,11 @@ class ScoreSet:
         return self._scores[rows]
 
     def append(self, trial, score):
-        score = float(score)
-        if not math.isfinite(score):
-            raise ValueError(f"non-finite score for trial {trial.key}")
-        if trial.key in self._index:
-            raise DuplicateTrial(f"duplicate trial {trial.key}")
-        if self._shared_keys:
-            self._enroll, self._test = list(self._enroll), list(self._test)
-            self._index = dict(self._index)
-            self._shared_keys = False
-        self._index[trial.key] = len(self._enroll)
-        self._enroll.append(trial.enroll_id)
-        self._test.append(trial.test_id)
-        self._labels = _readonly(np.append(self._labels, np.int8(LABEL_CODE[trial.label])))
-        self._scores = _readonly(np.append(self._scores, score))
+        """Add one record through the `from_columns` checks; the set
+        takes on the new columns only after they pass."""
+        vars(self).update(vars(ScoreSet.from_columns(
+            self._enroll + [trial.enroll_id], self._test + [trial.test_id],
+            np.append(self._labels, LABEL_CODE[trial.label]), np.append(self._scores, score))))
 
     def __len__(self):
         return len(self._enroll)

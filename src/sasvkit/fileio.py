@@ -31,7 +31,7 @@ import zlib
 
 import numpy as np
 
-from .core import LABEL_CODE, LABELS, Embedding, EmbeddingSet, ScoreSet, Trial, TrialLabel
+from .core import LABEL_CODE, LABELS, EmbeddingSet, ScoreSet, Trial, TrialLabel
 from .errors import DimensionDrift, DuplicateId, DuplicateTrial, ParseError
 
 MAGIC = b"SASVEMB1"
@@ -62,34 +62,30 @@ def _read_all(path_or_stream, mode):
 
 
 def _parse_embeddings_text(text):
-    out = EmbeddingSet()
-    dim = None
+    ids, rows, lines = [], [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
         if len(fields) < 2:
             raise ParseError("embedding line needs an ID and values", line=lineno)
         try:
             values = np.array([float(v) for v in fields[1:]], dtype=np.float32)
         except ValueError as e:
             raise ParseError(f"bad number: {e}", line=lineno) from None
-        if dim is None:
-            dim = values.shape[0]
-        elif values.shape[0] != dim:
+        if rows and values.shape[0] != rows[0].shape[0]:
             raise DimensionDrift(
-                f"dimension {values.shape[0]} after {dim}", line=lineno
+                f"dimension {values.shape[0]} after {rows[0].shape[0]}", line=lineno
             )
-        try:
-            emb = Embedding(fields[0], values)
-        except ValueError as e:
-            raise ParseError(str(e), line=lineno) from None
-        try:
-            out.add(emb)
-        except DuplicateId:
-            raise DuplicateId(f"duplicate ID {fields[0]!r} (line {lineno})") from None
-    return out
+        ids.append(fields[0])
+        rows.append(values)
+        lines.append(lineno)
+    try:
+        return EmbeddingSet.from_matrix(ids, np.stack(rows) if rows else np.empty((0, 0)))
+    except DuplicateId as e:
+        raise DuplicateId(f"duplicate ID {ids[e.row]!r} (line {lines[e.row]})") from None
+    except ValueError as e:
+        raise ParseError(str(e), line=lines[e.row]) from None
 
 
 def _parse_embeddings_binary(data):
@@ -103,7 +99,7 @@ def _parse_embeddings_binary(data):
     dim, count = struct.unpack_from("<II", data, 12)
     if dim < 1:
         raise ParseError("dimension must be >= 1", offset=12)
-    out = EmbeddingSet()
+    ids, offsets = [], []  # offsets: where each record's values start
     pos = 20
     for r in range(count):
         if pos + 2 > len(data):
@@ -113,23 +109,21 @@ def _parse_embeddings_binary(data):
         if pos + id_len + 4 * dim > len(data):
             raise ParseError(f"truncated record {r}", offset=pos)
         try:
-            utt_id = data[pos : pos + id_len].decode("utf-8")
+            ids.append(data[pos : pos + id_len].decode("utf-8"))
         except UnicodeDecodeError:
             raise ParseError(f"bad UTF-8 in record {r} ID", offset=pos) from None
         pos += id_len
-        values = np.frombuffer(data, dtype="<f4", count=dim, offset=pos).astype(
-            np.float32
-        )
+        offsets.append(pos)
         pos += 4 * dim
-        try:
-            out.add(Embedding(utt_id, values))
-        except DuplicateId:
-            raise DuplicateId(f"duplicate ID {utt_id!r} (record {r})") from None
-        except ValueError as e:
-            raise ParseError(str(e), offset=pos - 4 * dim) from None
     if pos != len(data):
         raise ParseError("trailing bytes after last record", offset=pos)
-    return out
+    rows = [np.frombuffer(data, dtype="<f4", count=dim, offset=o) for o in offsets]
+    try:
+        return EmbeddingSet.from_matrix(ids, np.stack(rows) if rows else np.empty((0, dim)))
+    except DuplicateId as e:
+        raise DuplicateId(f"duplicate ID {ids[e.row]!r} (record {e.row})") from None
+    except ValueError as e:
+        raise ParseError(str(e), offset=offsets[e.row]) from None
 
 
 def parse_embeddings(path_or_stream, format="auto"):
@@ -197,10 +191,9 @@ def parse_trials(path_or_stream):
     data = _read_all(path_or_stream, "r")
     trials = []
     for lineno, line in enumerate(data.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
         if len(fields) not in (2, 3):
             raise ParseError(
                 f"expected 2 or 3 fields, got {len(fields)}", line=lineno
@@ -294,7 +287,5 @@ def write_gate_params(weight, bias, path_or_stream):
     rows = np.concatenate(
         [np.asarray(weight, dtype=np.float64), np.asarray(bias)[:, None]], axis=1
     )
-    embset = EmbeddingSet(
-        Embedding(f"gate{i:03d}", row) for i, row in enumerate(rows)
-    )
+    embset = EmbeddingSet.from_matrix([f"gate{i:03d}" for i in range(len(rows))], rows)
     write_embeddings_text(embset, path_or_stream)

@@ -329,7 +329,12 @@ def grad_check(f, point, step=1e-5, tol=1e-4, exclude=None):
     defined); excluded coordinates are reported, not checked.
 
     The relative error per coordinate is |a - n| / max(1, |a|, |n|).
+    Raises ValueError unless `step` and `tol` are finite and > 0.
     """
+    for name, value in (("step", step), ("tol", tol)):
+        # written so that NaN fails too
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and > 0")
     point = np.asarray(point, dtype=np.float64)
     _, analytic = f(point)
     analytic = np.asarray(analytic, dtype=np.float64)

@@ -31,14 +31,6 @@ from .errors import EmptyClass
 
 
 @dataclass(frozen=True)
-class ErrorRatePoint:
-    threshold: float
-    p_miss: float
-    p_fa_nontarget: float
-    p_fa_spoof: float
-
-
-@dataclass(frozen=True)
 class ADcfConfig:
     """Costs and priors of the a-DCF.
 
@@ -126,6 +118,16 @@ def spf_eer(scores):
     return eer(target, spoof)
 
 
+def _sweep(scores, empty_message):
+    """(thresholds, P_miss, P_fa_nontarget, P_fa_spoof) over the
+    candidate sweep of a set holding all three classes."""
+    tar, non, spf = (np.sort(np.asarray(c, dtype=np.float64)) for c in partition_scores(scores))
+    if not (tar.size and non.size and spf.size):
+        raise EmptyClass(empty_message)
+    taus = _candidates(tar, non, spf)
+    return taus, _miss_rate(tar, taus), _fa_rate(non, taus), _fa_rate(spf, taus)
+
+
 def a_dcf(scores, cfg=ADcfConfig()):
     """Minimum a-DCF, its threshold, and the normalized value.
 
@@ -133,17 +135,12 @@ def a_dcf(scores, cfg=ADcfConfig()):
     cost of the better dummy system, so normalized = 1 means no better
     than always accepting or always rejecting.
     """
-    target, nontarget, spoof = partition_scores(scores)
-    if not target or not nontarget or not spoof:
-        raise EmptyClass("a_dcf needs target, nontarget, and spoof scores")
-    tar = np.sort(np.asarray(target, dtype=np.float64))
-    non = np.sort(np.asarray(nontarget, dtype=np.float64))
-    spf = np.sort(np.asarray(spoof, dtype=np.float64))
-    taus = _candidates(tar, non, spf)
+    taus, p_miss, p_fa_non, p_fa_spf = _sweep(
+        scores, "a_dcf needs target, nontarget, and spoof scores")
     cost = (
-        cfg.c_miss * cfg.pi_target * _miss_rate(tar, taus)
-        + cfg.c_fa_nontarget * cfg.pi_nontarget * _fa_rate(non, taus)
-        + cfg.c_fa_spoof * cfg.pi_spoof * _fa_rate(spf, taus)
+        cfg.c_miss * cfg.pi_target * p_miss
+        + cfg.c_fa_nontarget * cfg.pi_nontarget * p_fa_non
+        + cfg.c_fa_spoof * cfg.pi_spoof * p_fa_spf
     )
     idx = int(np.argmin(cost))
     minimum = float(cost[idx])
@@ -151,18 +148,8 @@ def a_dcf(scores, cfg=ADcfConfig()):
 
 
 def det_points(scores):
-    """Error rates at every candidate threshold, ascending threshold."""
-    target, nontarget, spoof = partition_scores(scores)
-    if not target or not nontarget or not spoof:
-        raise EmptyClass("det_points needs all three classes")
-    tar = np.sort(np.asarray(target, dtype=np.float64))
-    non = np.sort(np.asarray(nontarget, dtype=np.float64))
-    spf = np.sort(np.asarray(spoof, dtype=np.float64))
-    taus = _candidates(tar, non, spf)
-    p_miss = _miss_rate(tar, taus)
-    p_fa_non = _fa_rate(non, taus)
-    p_fa_spf = _fa_rate(spf, taus)
-    return [
-        ErrorRatePoint(float(t), float(m), float(fn), float(fs))
-        for t, m, fn, fs in zip(taus, p_miss, p_fa_non, p_fa_spf)
-    ]
+    """Error rates at every candidate threshold, ascending threshold: a
+    record array with fields threshold, p_miss, p_fa_nontarget and
+    p_fa_spoof, one record per threshold."""
+    return np.rec.fromarrays(_sweep(scores, "det_points needs all three classes"),
+                             names="threshold,p_miss,p_fa_nontarget,p_fa_spoof")

@@ -127,7 +127,7 @@ def _top_k_blocks(probes, probe_norms, cohort, top_k):
             f"probe dimension {probes.shape[1]} vs cohort dimension {cohort.dim}"
         )
     coh = cohort.matrix().astype(np.float64)
-    coh_norms = cohort.norms()
+    coh_norms = np.linalg.norm(coh, axis=1)
     n = coh.shape[0]
     k = min(top_k, n)
     for lo in range(0, probes.shape[0], _SIDE_BLOCK):
@@ -180,7 +180,8 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
         raise MissingEmbedding(f"no embedding for ID {e.args[0]!r}") from None
     if not trials:
         return ScoreSet()
-    mat, norms = embeddings.matrix(), embeddings.norms()
+    mat = embeddings.matrix()
+    norms = np.linalg.norm(mat.astype(np.float64), axis=1)
     enroll, test = rows[0::2], rows[1::2]
     scores = np.empty(len(trials))
     for lo in range(0, len(trials), _TRIAL_CHUNK):

@@ -4,12 +4,15 @@ These deliberately avoid the library's vectorized implementations:
 candidate thresholds are midpoints between consecutive distinct scores
 (plus the infinities), and rates are counted with plain Python loops.
 The pair-gradient chain scatters each pair's contribution into its two
-rows one pair at a time instead of forming the dense BxB product.
+rows one pair at a time instead of forming the dense BxB product. The
+embedding-row check looks at one row and one component at a time.
 """
 
 import math
 
 import numpy as np
+
+from sasvkit.errors import DimensionMismatch, DuplicateId
 
 
 def frr_at(pos, tau):
@@ -66,3 +69,25 @@ def chain_pair_grads_per_pair(grad_out, pair_grads, pairs_idx, X):
     gj = pair_grads[:, None] * (Xh[i] - s[:, None] * Xh[j]) / norms[j, None]
     np.add.at(grad_out, i, gi)
     np.add.at(grad_out, j, gj)
+
+
+def first_bad_embedding_row(ids, rows):
+    """(row, exception type, message) for the first row that is not a
+    valid embedding with a new ID, or None: checked in the order an
+    Embedding and then the set check them (ID, dimension, finite,
+    non-zero, unique)."""
+    seen = set()
+    for row, (uid, values) in enumerate(zip(ids, rows)):
+        values = [float(v) for v in values]
+        if not isinstance(uid, str) or uid == "":
+            return row, ValueError, "embedding ID must be a non-empty string"
+        if not values:
+            return row, DimensionMismatch, f"embedding {uid!r}: expected a 1-D vector with D >= 1"
+        if any(math.isnan(v) or math.isinf(v) for v in values):
+            return row, ValueError, f"embedding {uid!r} has non-finite components"
+        if all(v == 0.0 for v in values):
+            return row, ValueError, f"embedding {uid!r} is the zero vector"
+        if uid in seen:
+            return row, DuplicateId, f"duplicate embedding ID {uid!r}"
+        seen.add(uid)
+    return None

@@ -238,6 +238,52 @@ def test_grad_check_command(capsys):
     assert "failed=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("option, message", [
+    ("--tol=nan", "tol must be finite and > 0"),
+    ("--tol=0", "tol must be finite and > 0"),
+    ("--step=0", "step must be finite and > 0"),
+    ("--step=nan", "step must be finite and > 0"),
+    ("--step=-inf", "step must be finite and > 0"),
+    ("--instances=-3", "--instances must be >= 1"),
+    ("--instances=0", "--instances must be >= 1"),
+])
+def test_grad_check_bad_options_exit_2_before_any_check(option, message, capsys):
+    assert main(["grad-check", option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def _run_cli(args, cwd):
+    src = str(Path(sasvkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    # a subprocess with a timeout: an endless loop fails instead of hanging
+    return subprocess.run([sys.executable, "-m", "sasvkit.cli", *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("n_trials", ["5", "-1"])
+def test_gen_synth_rejects_more_trials_than_utterance_pairs(tmp_path, n_trials):
+    # 2 speakers x 1 utterance: 2 ordered pairs of distinct utterances
+    result = _run_cli(["gen-synth", "--speakers", "2", "--utts", "1", "--n-trials", n_trials,
+                       "--out", "e.txt", "--trials-out", "t.txt"], tmp_path)
+    assert result.returncode == 2 and "Traceback" not in result.stderr
+    assert "--n-trials must be between 0 and 2" in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_synth_can_draw_every_utterance_pair(tmp_path):
+    result = _run_cli(["gen-synth", "--speakers", "2", "--utts", "2", "--n-trials", "12",
+                       "--out", "e.txt", "--trials-out", "t.txt"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    trials = fileio.parse_trials(tmp_path / "t.txt")
+    assert len({t.key for t in trials}) == 12
+    assert all(t.enroll_id != t.test_id for t in trials)
+    # without --trials-out the trial count is not used
+    assert main(["gen-synth", "--speakers", "2", "--utts", "1", "--n-trials", "5",
+                 "--out", str(tmp_path / "e2.txt")]) == 0
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

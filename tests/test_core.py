@@ -159,3 +159,58 @@ def test_partition_is_a_bijection_on_records():
     tar, non, spf = partition_scores(s)
     assert len(tar) + len(non) + len(spf) == len(s)
     assert sorted(tar + non + spf) == sorted(v for _, v in s)
+
+
+def _score_set_state(s):
+    return len(s), s.keys(), s.scores().tolist(), list(s)
+
+
+def _embedding_set_state(s):
+    return (len(s), s.ids(), s.dim, s.matrix().tobytes(),
+            [(e.id, e.values.tobytes()) for e in s])
+
+
+def test_rejected_append_and_add_leave_the_set_unchanged():
+    src = ScoreSet([(Trial("e", "t", TrialLabel.TARGET), 1.0), (Trial("e", "t2"), 2.0)])
+    for s in (src, src.with_scores([3.0, 4.0])):
+        before = _score_set_state(s)
+        with pytest.raises(DuplicateTrial):
+            s.append(Trial("e", "t", TrialLabel.SPOOF), 5.0)
+        assert _score_set_state(s) == before
+        with pytest.raises(ValueError, match="non-finite"):
+            s.append(Trial("e", "t3"), float("nan"))
+        assert _score_set_state(s) == before
+    assert src.scores().tolist() == [1.0, 2.0]
+
+    embs = EmbeddingSet([Embedding("a", [1, 0]), Embedding("b", [0, 1])])
+    before = _embedding_set_state(embs)
+    with pytest.raises(DuplicateId):
+        embs.add(Embedding("a", [1, 1]))
+    assert _embedding_set_state(embs) == before
+    with pytest.raises(DimensionMismatch):
+        embs.add(Embedding("c", [1, 2, 3]))
+    assert _embedding_set_state(embs) == before
+    assert "c" not in embs
+
+
+def test_embedding_set_construction_checks_members_in_order():
+    a, b2, b3 = Embedding("a", [1, 0]), Embedding("b", [0, 1]), Embedding("b", [1, 2, 3])
+    # the first offending member decides, as when adding one by one
+    with pytest.raises(DuplicateId):
+        EmbeddingSet([a, b2, b2, b3])
+    with pytest.raises(DimensionMismatch, match=r"'b' has dimension 3, set has 2"):
+        EmbeddingSet([a, b3, b2])
+    s = EmbeddingSet([a, b2])
+    assert s.ids() == ["a", "b"] and s.matrix().tolist() == [[1, 0], [0, 1]]
+    assert not s.matrix().flags.writeable and s["b"].values.tolist() == [0, 1]
+
+
+def test_from_matrix_validates_its_shape():
+    with pytest.raises(ValueError, match="N x D"):
+        EmbeddingSet.from_matrix(["a", "b"], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="N x D"):
+        EmbeddingSet.from_matrix(["a"], [1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match="D >= 1"):
+        EmbeddingSet.from_matrix(["a"], np.empty((1, 0)))
+    empty = EmbeddingSet.from_matrix([], np.empty((0, 3)))
+    assert len(empty) == 0 and empty.dim is None

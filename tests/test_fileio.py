@@ -1,11 +1,18 @@
 import io
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import first_bad_embedding_row
 
 from sasvkit.core import Embedding, EmbeddingSet, ScoreSet, Trial, TrialLabel
 from sasvkit.errors import DimensionDrift, DuplicateId, DuplicateTrial, ParseError
 from sasvkit.fileio import (
+    MAGIC,
     parse_embeddings,
     parse_gate_params,
     parse_scores,
@@ -207,3 +214,112 @@ def test_label_fields_are_the_three_labels():
             parse_scores(io.StringIO(text))
     with pytest.raises(ParseError, match="unknown label"):
         parse_trials(io.StringIO("e t unlabeled\n"))
+
+
+_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_BAD_KINDS = ("empty id", "nan", "inf", "-inf", "zero", "duplicate")
+
+
+@st.composite
+def _rows_with_bad_ones(draw):
+    """(ids, float32 matrix, kinds) with bad rows of the drawn kinds at
+    random positions; every other row is a valid embedding."""
+    n = draw(st.integers(1, 10))
+    dim = draw(st.integers(1, 4))
+    ids = [f"u{i}" for i in range(n)]
+    rows = np.array(draw(st.lists(st.lists(_F32, min_size=dim, max_size=dim),
+                                  min_size=n, max_size=n)), dtype=np.float32).reshape(n, dim)
+    rows[~rows.any(axis=1), 0] = 1.0
+    kinds = draw(st.lists(st.tuples(st.sampled_from(_BAD_KINDS), st.integers(0, n - 1),
+                                    st.integers(0, n - 1), st.integers(0, dim - 1)), max_size=3))
+    for kind, row, other, col in kinds:
+        if kind == "empty id":
+            ids[row] = ""
+        elif kind == "zero":
+            rows[row] = 0.0
+        elif kind == "duplicate":
+            ids[row] = ids[other]
+        else:
+            rows[row, col] = float(kind)
+    return ids, rows, {k for k, *_ in kinds}
+
+
+def _text_file(ids, rows, gaps):
+    """The text file of the rows after gaps[i] comment or blank lines
+    each, and the line number of every row."""
+    lines, numbers = [], []
+    for uid, row, gap in zip(ids, rows, gaps):
+        lines += ["# comment", ""][:gap]
+        lines.append(uid + " " + " ".join(repr(float(v)) for v in row))
+        numbers.append(len(lines))
+    return "\n".join(lines) + "\n", numbers
+
+
+def _binary_file(ids, rows):
+    """The binary file of the rows, which may break the row checks, and
+    the byte offset of every row's values."""
+    body, offsets = bytearray(struct.pack("<II", rows.shape[1], len(ids))), []
+    for uid, row in zip(ids, rows):
+        id_bytes = uid.encode("utf-8")
+        body += struct.pack("<H", len(id_bytes)) + id_bytes
+        offsets.append(12 + len(body))
+        body += row.astype("<f4").tobytes()
+    return MAGIC + struct.pack("<I", zlib.crc32(bytes(body))) + bytes(body), offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_with_bad_ones(), st.lists(st.integers(0, 2), min_size=10, max_size=10))
+def test_column_constructors_report_the_first_offending_row(case, gaps):
+    ids, rows, kinds = case
+    expected = first_bad_embedding_row(ids, rows)
+    text, lines = _text_file(ids, rows, gaps)
+    blob, offsets = _binary_file(ids, rows)
+    if expected is None:
+        for got in (EmbeddingSet.from_matrix(ids, rows.copy()),
+                    parse_embeddings(io.StringIO(text), format="text"),
+                    parse_embeddings(io.BytesIO(blob), format="binary")):
+            assert got.ids() == ids and got.matrix().tobytes() == rows.tobytes()
+        return
+    row, exc_type, message = expected
+    with pytest.raises(exc_type) as info:
+        EmbeddingSet.from_matrix(ids, rows.copy())
+    assert str(info.value) == message and info.value.row == row
+    if exc_type is DuplicateId:
+        text_error = DuplicateId, f"duplicate ID {ids[row]!r} (line {lines[row]})"
+        binary_error = DuplicateId, f"duplicate ID {ids[row]!r} (record {row})"
+    else:
+        text_error = ParseError, f"{message} (line {lines[row]})"
+        binary_error = ParseError, f"{message} (byte offset {offsets[row]})"
+    with pytest.raises(binary_error[0]) as info:
+        parse_embeddings(io.BytesIO(blob), format="binary")
+    assert str(info.value) == binary_error[1]
+    if "empty id" in kinds:
+        return  # a text line cannot hold an empty ID field
+    with pytest.raises(text_error[0]) as info:
+        parse_embeddings(io.StringIO(text), format="text")
+    assert str(info.value) == text_error[1]
+    if exc_type is ParseError:
+        assert info.value.line == lines[row]
+
+
+_ID = st.text(st.characters(codec="utf-8"), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ID, min_size=1, max_size=8, unique=True), st.integers(1, 5), st.data())
+def test_embeddings_write_parse_round_trips(ids, dim, data):
+    rows = np.array(data.draw(st.lists(st.lists(_F32, min_size=dim, max_size=dim),
+                                       min_size=len(ids), max_size=len(ids))),
+                    dtype=np.float32).reshape(len(ids), dim)
+    rows[~rows.any(axis=1), 0] = -2.5
+    original = EmbeddingSet.from_matrix(ids, rows)
+    formats = [(write_embeddings_binary, io.BytesIO)]
+    # a text ID is one whitespace-free field that does not start a comment
+    if all(uid.split() == [uid] and not uid.startswith("#") for uid in ids):
+        formats.append((write_embeddings_text, io.StringIO))
+    for write, stream in formats:
+        buf = stream()
+        write(original, buf)
+        parsed = parse_embeddings(stream(buf.getvalue()))
+        assert parsed.ids() == ids
+        assert parsed.matrix().tobytes() == original.matrix().tobytes()

@@ -245,6 +245,16 @@ def test_grad_check_quadratic():
     assert report.passed and report.max_rel_error < 1e-8
 
 
+@pytest.mark.parametrize("name, bad", [(n, v) for n in ("step", "tol")
+                                        for v in (0.0, -1e-5, math.nan, math.inf, -math.inf)])
+def test_grad_check_rejects_a_bad_step_or_tolerance(name, bad):
+    def f(x):
+        raise AssertionError("f evaluated")
+
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0$"):
+        grad_check(f, np.array([3.0]), **{name: bad})
+
+
 def test_grad_check_reports_exclusions():
     # target angle ~0: cosine clamp active, coordinate excluded by mask
     batch = LossBatch([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [0])
