@@ -16,21 +16,24 @@ from sasvkit.scoring import CascadeConfig, cascade
 rng = np.random.default_rng(7)
 N = 500
 
-asv = ScoreSet()
-sd = ScoreSet()
+# (trial, score) records of each system, turned into ScoreSets in bulk
+asv_records = []
+sd_records = []
 
 
 def add(kind, asv_mean, sd_mean, tag):
     for i in range(N):
         t = Trial(f"e-{tag}{i}", f"t-{tag}{i}", kind)
-        asv.append(t, float(rng.normal(asv_mean, 0.5)))
-        sd.append(t, float(rng.normal(sd_mean, 0.5)))
+        asv_records.append((t, float(rng.normal(asv_mean, 0.5))))
+        sd_records.append((t, float(rng.normal(sd_mean, 0.5))))
 
 
 add(TrialLabel.TARGET, asv_mean=1.5, sd_mean=1.0, tag="tar")
 add(TrialLabel.NONTARGET, asv_mean=-1.5, sd_mean=1.0, tag="non")
 # spoofs mimic the target speaker, so the verifier scores them high
 add(TrialLabel.SPOOF, asv_mean=1.3, sd_mean=-1.0, tag="spf")
+asv = ScoreSet(asv_records)
+sd = ScoreSet(sd_records)
 
 eer_sv, tau_sv = sv_eer(asv)
 eer_spf, _ = spf_eer(asv)

@@ -358,6 +358,9 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError, ValueError) as e:
         print(f"sasvkit: {e}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as e:
+        print(f"sasvkit: out of memory: {e}", file=sys.stderr)
+        return EXIT_DATA
     except FloatingPointError as e:
         print(f"sasvkit: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -45,10 +45,10 @@ class TrialLabel(Enum):
     @classmethod
     def from_token(cls, token):
         """Parse one of the exact lowercase tokens target/nontarget/spoof."""
-        for member in (cls.TARGET, cls.NONTARGET, cls.SPOOF):
-            if token == member.value:
-                return member
-        raise ValueError(f"unknown label {token!r}")
+        try:
+            return LABELS[TOKEN_CODE[token]]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown label {token!r}") from None
 
 
 def _readonly(array):
@@ -221,6 +221,8 @@ class Trial:
 LABELS = tuple(TrialLabel)
 LABEL_CODE = {label: code for code, label in enumerate(LABELS)}
 _UNLABELED = LABEL_CODE[TrialLabel.UNLABELED]
+# a label field's token -> code; an unlabeled trial has no label field
+TOKEN_CODE = {label.value: code for label, code in LABEL_CODE.items() if code != _UNLABELED}
 
 
 class ScoreSet:
@@ -317,7 +319,9 @@ class ScoreSet:
 
     def append(self, trial, score):
         """Add one record through the `from_columns` checks; the set
-        takes on the new columns only after they pass."""
+        takes on the new columns only after they pass. Each call copies
+        every column, O(N); build a large set in bulk with
+        `ScoreSet(records)` or `from_columns`."""
         vars(self).update(vars(ScoreSet.from_columns(
             self._enroll + [trial.enroll_id], self._test + [trial.test_id],
             np.append(self._labels, LABEL_CODE[trial.label]), np.append(self._scores, score))))

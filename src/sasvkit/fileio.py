@@ -1,11 +1,18 @@
 """On-disk formats: embeddings (text and binary), trials, scores, gates.
 
-Text embedding file: one `<id> <v1> ... <vD>` line per utterance,
-`#` lines are comments. Values are written as
-shortest round-trip decimals of the 32-bit stored floats, so
-binary -> text -> binary conversion is lossless.
+Text files are UTF-8; bad UTF-8 is a ParseError at its byte offset. The
+tokenizer `_lines` is the one definition of their fields (split on any
+run of whitespace) and comments (a line whose first field starts with
+`#`). The writers separate fields with one space and raise ValueError,
+before the target is opened, for an ID that would not read back as the
+same field: an empty one, one holding whitespace, or a line's first
+field starting with `#`.
 
-Binary embedding file (all integers little-endian):
+Text embedding file: one `<id> <v1> ... <vD>` line per utterance.
+Values are written as shortest round-trip decimals of the 32-bit stored
+floats, so binary -> text -> binary conversion is lossless.
+
+Binary embedding file (all integers little-endian; any ID is allowed):
 
     bytes 0..7    magic "SASVEMB1"
     bytes 8..11   CRC-32 of everything after this field
@@ -17,56 +24,98 @@ The checksum covers dimension, count, and all records, so any
 single-byte corruption after the magic is detected rather than silently
 misparsed; a corrupted magic fails the magic check itself.
 
-Trial file: `<enroll_id> <test_id> [label]` with label one of
-target/nontarget/spoof; a missing label means unlabeled.
-Score file: `<enroll_id> <test_id> <score> [label]`.
-
-Text fields are separated by any run of whitespace (spaces or tabs), so
-IDs cannot contain whitespace; the writers separate fields with a
-single space.
+Trial file: `<enroll_id> <test_id> [label]` and score file:
+`<enroll_id> <test_id> <score> [label]`, with the label field one of
+target/nontarget/spoof (`_label_code`); a missing label means unlabeled.
 """
 
 import struct
 import zlib
+from itertools import islice
 
 import numpy as np
 
-from .core import LABEL_CODE, LABELS, EmbeddingSet, ScoreSet, Trial, TrialLabel
+from .core import LABEL_CODE, LABELS, TOKEN_CODE, EmbeddingSet, ScoreSet, Trial, TrialLabel
 from .errors import DimensionDrift, DuplicateId, DuplicateTrial, ParseError
 
 MAGIC = b"SASVEMB1"
 
-# score-file label field <-> ScoreSet label code; unlabeled has no field
 _UNLABELED = LABEL_CODE[TrialLabel.UNLABELED]
-_LABEL_TOKENS = {label.value: code for code, label in enumerate(LABELS) if code != _UNLABELED}
+# a label code's optional last field, as the writers append it
 _LABEL_SUFFIX = tuple("" if code == _UNLABELED else " " + label.value
                       for code, label in enumerate(LABELS))
 
 
-def _open_maybe(path_or_stream, mode):
-    if hasattr(path_or_stream, "read") or hasattr(path_or_stream, "write"):
-        return path_or_stream, False
-    return open(path_or_stream, mode), True
-
-
-def _read_all(path_or_stream, mode):
-    fh, owned = _open_maybe(path_or_stream, mode)
-    try:
+def _read(path_or_stream):
+    """The content of a path (bytes) or of a stream (what it reads)."""
+    if hasattr(path_or_stream, "read"):
+        return path_or_stream.read()
+    with open(path_or_stream, "rb") as fh:
         return fh.read()
-    finally:
-        if owned:
-            fh.close()
+
+
+def _write_all(data, path_or_stream):
+    """Write str or bytes to a stream, or to a path it then replaces."""
+    if hasattr(path_or_stream, "write"):
+        path_or_stream.write(data)
+    else:
+        with open(path_or_stream, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+
+
+def _lines(data):
+    """(line number, fields) of each line of the text `data` (str or
+    UTF-8 bytes) that is neither blank nor a comment: the one definition
+    of the text grammar's fields and comments."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"bad UTF-8 text: {e.reason}", offset=e.start) from None
+    for lineno, line in enumerate(data.splitlines(), start=1):
+        fields = line.split()
+        if fields and fields[0][0] != "#":
+            yield lineno, fields
+
+
+def _line_of(data, row):
+    """The line number of the `row`-th record of the text `data`."""
+    return next(islice(_lines(data), row, None))[0]
+
+
+def _label_code(fields, n, lineno):
+    """The label code of a line of `n` fields and an optional label."""
+    if len(fields) == n + 1 and fields[n] in TOKEN_CODE:
+        return TOKEN_CODE[fields[n]]
+    if len(fields) == n:
+        return _UNLABELED
+    if len(fields) == n + 1:
+        raise ParseError(f"unknown label {fields[n]!r}", line=lineno)
+    raise ParseError(f"expected {n} or {n + 1} fields, got {len(fields)}", line=lineno)
+
+
+def _check_ids(ids, first):
+    """Raise ValueError naming the first of `ids` that would not read
+    back as the same field: one that is not a string, is empty, holds
+    whitespace or, as a line's `first` field, starts a comment."""
+    try:
+        joined = "".join(ids)
+        if all(ids) and joined.split() == [joined] and not (first and "#" in joined):
+            return  # the common case, without a loop in Python
+    except TypeError:
+        pass
+    for uid in ids:
+        if not isinstance(uid, str) or uid.split() != [uid] or first and uid[0] == "#":
+            raise ValueError(f"ID {uid!r} is not a text field: IDs are non-empty, hold no "
+                             "whitespace and do not start a line with '#'")
 
 
 # ---------------------------------------------------------------- embeddings
 
 
-def _parse_embeddings_text(text):
-    ids, rows, lines = [], [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        fields = line.split()
-        if not fields or fields[0].startswith("#"):
-            continue
+def _parse_embeddings_text(data):
+    ids, rows = [], []
+    for lineno, fields in _lines(data):
         if len(fields) < 2:
             raise ParseError("embedding line needs an ID and values", line=lineno)
         try:
@@ -79,13 +128,12 @@ def _parse_embeddings_text(text):
             )
         ids.append(fields[0])
         rows.append(values)
-        lines.append(lineno)
     try:
         return EmbeddingSet.from_matrix(ids, np.stack(rows) if rows else np.empty((0, 0)))
     except DuplicateId as e:
-        raise DuplicateId(f"duplicate ID {ids[e.row]!r} (line {lines[e.row]})") from None
+        raise DuplicateId(f"duplicate ID {ids[e.row]!r} (line {_line_of(data, e.row)})") from None
     except ValueError as e:
-        raise ParseError(str(e), line=lines[e.row]) from None
+        raise ParseError(str(e), line=_line_of(data, e.row)) from None
 
 
 def _parse_embeddings_binary(data):
@@ -127,142 +175,84 @@ def _parse_embeddings_binary(data):
 
 
 def parse_embeddings(path_or_stream, format="auto"):
-    """Load an EmbeddingSet; `format` is auto, text, or binary.
-
-    Auto-detection looks at the binary magic bytes.
-    """
+    """Load an EmbeddingSet; `format` is auto (by the magic bytes), text or binary."""
     if format not in ("auto", "text", "binary"):
         raise ValueError(f"unknown format {format!r}")
-    if format == "text":
-        data = _read_all(path_or_stream, "r")
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return _parse_embeddings_text(data)
-    data = _read_all(path_or_stream, "rb")
-    if isinstance(data, str):
+    data = _read(path_or_stream)
+    if isinstance(data, str) and format != "text":
         data = data.encode("utf-8")
-    if format == "binary":
+    if format == "binary" or format == "auto" and data[:8] == MAGIC:
         return _parse_embeddings_binary(data)
-    if data[:8] == MAGIC:
-        return _parse_embeddings_binary(data)
-    try:
-        return _parse_embeddings_text(data.decode("utf-8"))
-    except UnicodeDecodeError:
-        raise ParseError("neither binary magic nor UTF-8 text", offset=0) from None
+    return _parse_embeddings_text(data)
 
 
 def write_embeddings_text(embset, path_or_stream):
-    fh, owned = _open_maybe(path_or_stream, "w")
-    try:
-        for emb in embset:
-            # repr of the exact float64 value of each float32 component:
-            # shortest decimal that round-trips back to the same float32
-            fh.write(emb.id + " " + " ".join(repr(float(v)) for v in emb.values) + "\n")
-    finally:
-        if owned:
-            fh.close()
+    ids = embset.ids()
+    _check_ids(ids, first=True)
+    # repr of the exact float64 value of each float32 component:
+    # shortest decimal that round-trips back to the same float32
+    _write_all("".join([uid + " " + " ".join(map(repr, row)) + "\n"
+                        for uid, row in zip(ids, embset.matrix().tolist())]), path_or_stream)
 
 
 def write_embeddings_binary(embset, path_or_stream):
     if len(embset) == 0 or embset.dim is None:
         raise ValueError("cannot write an empty embedding set")
-    body = bytearray()
-    body += struct.pack("<II", embset.dim, len(embset))
-    for emb in embset:
-        id_bytes = emb.id.encode("utf-8")
+    body = bytearray(struct.pack("<II", embset.dim, len(embset)))
+    for uid, row in zip(embset.ids(), embset.matrix().astype("<f4")):
+        id_bytes = uid.encode("utf-8")
         if len(id_bytes) > 0xFFFF:
-            raise ValueError(f"ID too long: {emb.id!r}")
-        body += struct.pack("<H", len(id_bytes))
-        body += id_bytes
-        body += emb.values.astype("<f4").tobytes()
-    crc = zlib.crc32(bytes(body)) & 0xFFFFFFFF
-    fh, owned = _open_maybe(path_or_stream, "wb")
-    try:
-        fh.write(MAGIC + struct.pack("<I", crc) + bytes(body))
-    finally:
-        if owned:
-            fh.close()
+            raise ValueError(f"ID too long: {uid!r}")
+        body += struct.pack("<H", len(id_bytes)) + id_bytes + row.tobytes()
+    _write_all(MAGIC + struct.pack("<I", zlib.crc32(body)) + body, path_or_stream)
 
 
 # ------------------------------------------------------------ trials, scores
 
 
 def parse_trials(path_or_stream):
-    data = _read_all(path_or_stream, "r")
     trials = []
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        fields = line.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        if len(fields) not in (2, 3):
-            raise ParseError(
-                f"expected 2 or 3 fields, got {len(fields)}", line=lineno
-            )
-        label = TrialLabel.UNLABELED
-        if len(fields) == 3:
-            if fields[2] not in _LABEL_TOKENS:
-                raise ParseError(f"unknown label {fields[2]!r}", line=lineno)
-            label = LABELS[_LABEL_TOKENS[fields[2]]]
-        try:
-            trials.append(Trial(fields[0], fields[1], label))
-        except ValueError as e:
-            raise ParseError(str(e), line=lineno) from None
+    for lineno, fields in _lines(_read(path_or_stream)):
+        label = LABELS[_label_code(fields, 2, lineno)]
+        trials.append(Trial(fields[0], fields[1], label))
     return trials
 
 
 def write_trials(trials, path_or_stream):
-    fh, owned = _open_maybe(path_or_stream, "w")
-    try:
-        for t in trials:
-            if t.label is TrialLabel.UNLABELED:
-                fh.write(f"{t.enroll_id} {t.test_id}\n")
-            else:
-                fh.write(f"{t.enroll_id} {t.test_id} {t.label.value}\n")
-    finally:
-        if owned:
-            fh.close()
+    trials = list(trials)
+    enroll, test = [t.enroll_id for t in trials], [t.test_id for t in trials]
+    _check_ids(enroll, first=True)
+    _check_ids(test, first=False)
+    _write_all("".join([f"{e} {t}{_LABEL_SUFFIX[LABEL_CODE[trial.label]]}\n"
+                        for e, t, trial in zip(enroll, test, trials)]), path_or_stream)
 
 
 def parse_scores(path_or_stream):
-    data = _read_all(path_or_stream, "r")
-    enroll, test, labels, scores, lines = [], [], [], [], []
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        fields = line.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        if len(fields) == 3:
-            labels.append(_UNLABELED)
-        elif len(fields) == 4 and fields[3] in _LABEL_TOKENS:
-            labels.append(_LABEL_TOKENS[fields[3]])
-        elif len(fields) == 4:
-            raise ParseError(f"unknown label {fields[3]!r}", line=lineno)
-        else:
-            raise ParseError(f"expected 3 or 4 fields, got {len(fields)}", line=lineno)
+    data = _read(path_or_stream)
+    enroll, test, labels, scores = [], [], [], []
+    for lineno, fields in _lines(data):
+        labels.append(_label_code(fields, 3, lineno))
         try:
             scores.append(float(fields[2]))
         except ValueError:
             raise ParseError(f"bad score {fields[2]!r}", line=lineno) from None
         enroll.append(fields[0])
         test.append(fields[1])
-        lines.append(lineno)
     try:
         return ScoreSet.from_columns(enroll, test, labels, scores)
     except DuplicateTrial as e:
-        raise DuplicateTrial(f"{e} (line {lines[e.row]})") from None
+        raise DuplicateTrial(f"{e} (line {_line_of(data, e.row)})") from None
     except ValueError as e:
-        raise ParseError(str(e), line=lines[e.row]) from None
+        raise ParseError(str(e), line=_line_of(data, e.row)) from None
 
 
 def write_scores(scores, path_or_stream):
     enroll, test, labels, values = scores.columns()
-    text = "".join([f"{e} {t} {v!r}{_LABEL_SUFFIX[c]}\n"
-                    for e, t, v, c in zip(enroll, test, values.tolist(), labels.tolist())])
-    fh, owned = _open_maybe(path_or_stream, "w")
-    try:
-        fh.write(text)
-    finally:
-        if owned:
-            fh.close()
+    _check_ids(enroll, first=True)
+    _check_ids(test, first=False)
+    _write_all("".join([f"{e} {t} {v!r}{_LABEL_SUFFIX[c]}\n"
+                        for e, t, v, c in zip(enroll, test, values.tolist(), labels.tolist())]),
+               path_or_stream)
 
 
 # ------------------------------------------------------------------- gates

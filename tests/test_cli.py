@@ -287,3 +287,11 @@ def test_gen_synth_can_draw_every_utterance_pair(tmp_path):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_oversized_parameter_is_a_data_error(capsys):
+    # asks numpy for a 455 PiB array, more than a 64-bit address space
+    # holds, so the allocation fails at once
+    assert main(["train-toy", "--steps", "0", "--eval-trials", "1000000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sasvkit: out of memory: ") and err.count("\n") == 1

@@ -323,3 +323,123 @@ def test_embeddings_write_parse_round_trips(ids, dim, data):
         parsed = parse_embeddings(stream(buf.getvalue()))
         assert parsed.ids() == ids
         assert parsed.matrix().tobytes() == original.matrix().tobytes()
+
+
+def _text_field(uid, first):
+    """Whether `uid` reads back as the same text field."""
+    return uid.split() == [uid] and not (first and uid.startswith("#"))
+
+
+def _assert_written_or_rejected(write, original, buf, columns):
+    """Write `original` to `buf` and return True when every ID of
+    `columns` (ID lists, the first holding lines' first fields) is a
+    text field. Otherwise assert that `write` raises ValueError naming
+    the first offender, column by column, and writes nothing."""
+    bad = [uid for i, ids in enumerate(columns) for uid in ids if not _text_field(uid, i == 0)]
+    if not bad:
+        write(original, buf)
+        return True
+    with pytest.raises(ValueError, match="is not a text field") as info:
+        write(original, buf)
+    assert str(info.value).startswith(f"ID {bad[0]!r} ")
+    assert buf.getvalue() == ""
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ID, min_size=1, max_size=8, unique=True), st.integers(1, 5), st.data())
+def test_embeddings_text_writer_round_trips_or_rejects_the_id(ids, dim, data):
+    rows = np.array(data.draw(st.lists(st.lists(_F32, min_size=dim, max_size=dim),
+                                       min_size=len(ids), max_size=len(ids))),
+                    dtype=np.float32).reshape(len(ids), dim)
+    rows[~rows.any(axis=1), 0] = -2.5
+    original = EmbeddingSet.from_matrix(ids, rows)
+    buf = io.StringIO()
+    if _assert_written_or_rejected(write_embeddings_text, original, buf, [ids]):
+        parsed = parse_embeddings(io.StringIO(buf.getvalue()))
+        assert parsed.ids() == ids
+        assert parsed.matrix().tobytes() == original.matrix().tobytes()
+
+
+_KEYS = st.lists(st.tuples(_ID, _ID), min_size=1, max_size=8, unique=True)
+_LABEL = st.sampled_from(list(TrialLabel))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_KEYS, st.data())
+def test_trials_write_parse_round_trips(keys, data):
+    trials = [Trial(e, t, data.draw(_LABEL)) for e, t in keys]
+    buf = io.StringIO()
+    if _assert_written_or_rejected(write_trials, trials, buf, list(zip(*keys))):
+        assert parse_trials(io.StringIO(buf.getvalue())) == trials
+
+
+@settings(max_examples=200, deadline=None)
+@given(_KEYS, st.data())
+def test_scores_write_parse_round_trips(keys, data):
+    original = ScoreSet((Trial(e, t, data.draw(_LABEL)), data.draw(st.floats(allow_nan=False,
+                         allow_infinity=False))) for e, t in keys)
+    buf = io.StringIO()
+    if _assert_written_or_rejected(write_scores, original, buf, list(zip(*keys))):
+        parsed = parse_scores(io.StringIO(buf.getvalue()))
+        assert list(parsed) == list(original)
+        assert parsed.scores().tobytes() == original.scores().tobytes()
+
+
+def test_rejected_write_leaves_a_path_untouched(tmp_path):
+    trials = [Trial("e", "t"), Trial("#e", "t")]
+    kept, absent = tmp_path / "kept.txt", tmp_path / "absent.txt"
+    kept.write_text("old\n")
+    for path in (kept, absent):
+        with pytest.raises(ValueError, match=r"^ID '#e' is not a text field"):
+            write_trials(trials, str(path))
+    assert kept.read_text() == "old\n" and not absent.exists()
+    # a test ID is never a line's first field, so it may start with '#'
+    write_trials([Trial("e", "#t", TrialLabel.SPOOF)], str(absent))
+    assert parse_trials(str(absent)) == [Trial("e", "#t", TrialLabel.SPOOF)]
+
+
+@pytest.mark.parametrize("parse", [parse_scores, parse_trials,
+                                   lambda f: parse_embeddings(f, format="text"),
+                                   parse_embeddings],
+                         ids=["scores", "trials", "embeddings-text", "embeddings-auto"])
+def test_bad_utf8_is_a_located_parse_error(parse):
+    with pytest.raises(ParseError, match=r"^bad UTF-8 text: .* \(byte offset 10\)$") as info:
+        parse(io.BytesIO(b"# caf\xc3\xa9\na \xff 1.0\n"))
+    assert info.value.offset == 10
+
+
+# two bad lines of different kinds: the earlier one is reported
+_TWO_BAD_SCORE_LINES = [
+    ("e t abc\ne2 t 1.0\n\ne3 t 1.0 bogus\n", ParseError, r"bad score 'abc' \(line 1\)"),
+    ("e t 1.0\ne2 t 1.0 bogus\ne3 t abc\n", ParseError, r"unknown label 'bogus' \(line 2\)"),
+    ("e t 1.0\ne t 1.0\n# c\ne2 t x\n", ParseError, r"bad score 'x' \(line 4\)"),
+    ("e t 1.0\ne2 t\ne3 t 1.0 spoof extra\n", ParseError, r"expected 3 or 4 fields, got 2 \(line 2\)"),
+    ("e t nan\n\ne t 1.0\n", ParseError, r"non-finite score .* \(line 1\)"),
+    ("e t 1.0\n\ne t 1.0\ne2 t inf\n", DuplicateTrial, r"\(line 3\)$"),
+]
+
+
+@pytest.mark.parametrize("text, exc_type, message", _TWO_BAD_SCORE_LINES)
+def test_parse_scores_reports_the_earlier_of_two_bad_lines(text, exc_type, message):
+    with pytest.raises(exc_type, match=message):
+        parse_scores(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("e t\ne\n\ne t bogus\n", r"expected 2 or 3 fields, got 1 \(line 2\)"),
+    ("e t\n# c\ne t bogus\ne\n", r"unknown label 'bogus' \(line 3\)"),
+    ("e t target x\ne t Target\n", r"expected 2 or 3 fields, got 4 \(line 1\)"),
+])
+def test_parse_trials_reports_the_earlier_of_two_bad_lines(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_trials(io.StringIO(text))
+
+
+def test_a_comment_is_a_line_whose_first_field_starts_with_hash():
+    head = "  # indented\n\t#tab\n#\n \n"
+    assert parse_trials(io.StringIO(head + "e #t spoof\n")) == [Trial("e", "#t", TrialLabel.SPOOF)]
+    assert parse_scores(io.StringIO(head + "e #t 1.5\n")).keys() == [("e", "#t")]
+    assert parse_embeddings(io.StringIO(head + "a 1.0\n"), format="text").ids() == ["a"]
+    with pytest.raises(ParseError, match=r"\(line 5\)"):
+        parse_scores(io.StringIO(head + "e t x # not a comment\n"))
