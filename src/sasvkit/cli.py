@@ -207,12 +207,11 @@ def _cmd_moe_demo(args):
     stack = moe.LayerStack(layers.matrix())
     weight, bias = fileio.parse_gate_params(args.gate)
     params = moe.GateParams(weight=weight, bias=bias, top_k=args.top_k)
-    probs = moe.gate_probs(stack.final, params)
-    mask = moe.top_k_mask(probs, min(args.top_k, stack.n_layers - 1))
+    probs, weights = moe._gate(stack, params, unweighted=args.unweighted)
     fused = moe.fuse(stack, params, unweighted=args.unweighted)
     print("gate_probs=" + " ".join(f"{p:.6f}" for p in probs))
-    print("selected=" + " ".join(str(i) for i in np.flatnonzero(mask)))
-    print("weights=" + " ".join(f"{w:.6f}" for w in mask[mask > 0]))
+    print("selected=" + " ".join(str(i) for i in np.flatnonzero(weights)))
+    print("weights=" + " ".join(f"{w:.6f}" for w in weights[weights > 0]))
     print("fused=" + " ".join(repr(float(v)) for v in fused))
     return EXIT_OK
 

@@ -98,6 +98,19 @@ def top_k_mask(probs, k):
     return out
 
 
+def _gate(stack, params, unweighted=False):
+    """(gate probabilities, weights of the L-1 non-final layers) of `fuse`:
+    min(top_k, L-1) layers keep their renormalized probability, or 1.0."""
+    if params.weight.shape[0] != stack.n_layers - 1:
+        raise DimensionMismatch(
+            f"gate has {params.weight.shape[0]} outputs for "
+            f"{stack.n_layers - 1} candidate layers"
+        )
+    probs = gate_probs(stack.final, params)
+    mask = top_k_mask(probs, min(params.top_k, stack.n_layers - 1))
+    return probs, (mask > 0).astype(np.float64) if unweighted else mask
+
+
 def fuse(stack, params, unweighted=False):
     """Sum the gated top-k layer embeddings with the final layer.
 
@@ -105,12 +118,5 @@ def fuse(stack, params, unweighted=False):
     layers, with w the renormalized gate probabilities (or 1.0 each when
     unweighted).
     """
-    if params.weight.shape[0] != stack.n_layers - 1:
-        raise DimensionMismatch(
-            f"gate has {params.weight.shape[0]} outputs for "
-            f"{stack.n_layers - 1} candidate layers"
-        )
-    k = min(params.top_k, stack.n_layers - 1)
-    mask = top_k_mask(gate_probs(stack.final, params), k)
-    weights = (mask > 0).astype(np.float64) if unweighted else mask
+    _, weights = _gate(stack, params, unweighted)
     return stack.final + weights @ stack.layers[:-1]

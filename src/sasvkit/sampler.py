@@ -7,11 +7,14 @@ normalization stands in for a real embedding network; plain SGD on the
 combined margin + pairwise loss is enough to demonstrate that the loss
 kernels actually reduce verification error.
 
-Everything is deterministic given the configured seeds.
+PK batches are dealt from per-speaker chunk index matrices, and held-out
+trials are (enroll row, test row) index pairs of one embedding matrix,
+scored together. Everything is deterministic given the configured seeds.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, count
 
 import numpy as np
 
@@ -22,9 +25,10 @@ from .errors import (
     DivergenceDetected,
     InvalidBatch,
     TooFewSpeakers,
+    ZeroNorm,
 )
 from .losses import CircleConfig, SphereFaceConfig, combined_loss, LossBatch
-from .scoring import cosine
+from .scoring import _pair_cosines
 
 
 class SpeakerDataset:
@@ -112,6 +116,9 @@ class ToyModel:
         and would start too close to the raw-feature performance to
         demonstrate anything.
         """
+        if d_emb < 1 or d_in < 1 or n_classes < 2:
+            raise BadParams(f"need d_emb >= 1, d_in >= 1, n_classes >= 2; got "
+                            f"d_emb={d_emb}, d_in={d_in}, n_classes={n_classes}")
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((d_emb, 1))
         v = rng.standard_normal((1, d_in))
@@ -161,13 +168,12 @@ def gen_synthetic(n_speakers, utts_per_speaker, d_in, noise, seed=0):
 def pk_batches(dataset, cfg):
     """One epoch of PK batches: P distinct speakers x K utterances each.
 
-    Per speaker, utterance indices are shuffled and dealt K at a time;
-    a final short chunk is topped up by sampling that speaker's
-    utterances with replacement, so every speaker contributes
-    ceil(utts/K) chunks. Batches greedily draw the P speakers with the
-    most chunks remaining (ties broken at random but seeded), so the
-    epoch covers every utterance. Leftover chunks that cannot fill a
-    P-speaker batch are dropped.
+    Each speaker's shuffled utterance indices, topped up to a multiple
+    of K by sampling its utterances with replacement, form the rows of a
+    ceil(utts/K) x K chunk matrix. Each batch takes the last chunk left
+    of the P speakers with the most chunks left (ties broken at random
+    but seeded, one lexsort per batch), so the epoch covers every
+    utterance. Chunks that cannot fill a P-speaker batch are dropped.
 
     Returns a list of (features, labels) with labels the integer index
     of the speaker in dataset.speaker_ids.
@@ -177,35 +183,23 @@ def pk_batches(dataset, cfg):
             f"P={cfg.P} but dataset has {dataset.n_speakers} speakers"
         )
     rng = np.random.default_rng(cfg.seed)
-    chunks = {}  # speaker index -> list of index-chunks of length K
-    for s, sid in enumerate(dataset.speaker_ids):
-        n = dataset.speakers[sid].shape[0]
-        order = rng.permutation(n)
-        chunk_list = []
-        for start in range(0, n, cfg.K):
-            chunk = list(order[start : start + cfg.K])
-            while len(chunk) < cfg.K:
-                chunk.append(int(rng.integers(n)))
-            chunk_list.append(chunk)
-        chunks[s] = chunk_list
-
+    feats = [dataset.speakers[sid] for sid in dataset.speaker_ids]
+    chunks = [
+        np.concatenate((rng.permutation(n), rng.integers(n, size=-n % cfg.K))).reshape(-1, cfg.K)
+        for n in map(len, feats)
+    ]
+    left = np.array([c.shape[0] for c in chunks])
     batches = []
-    while sum(1 for c in chunks.values() if c) >= cfg.P:
-        available = [s for s, c in chunks.items() if c]
+    while np.count_nonzero(left) >= cfg.P:
+        available = np.flatnonzero(left)
         # most-chunks-first keeps per-speaker usage proportional
-        jitter = rng.permutation(len(available))
-        ranked = sorted(
-            range(len(available)),
-            key=lambda i: (-len(chunks[available[i]]), jitter[i]),
-        )
-        feats, labels = [], []
-        for i in ranked[: cfg.P]:
-            s = available[i]
-            chunk = chunks[s].pop()
-            sid = dataset.speaker_ids[s]
-            feats.append(dataset.speakers[sid][chunk])
-            labels.extend([s] * cfg.K)
-        batches.append((np.concatenate(feats), np.array(labels, dtype=np.int64)))
+        jitter = rng.permutation(available.size)
+        chosen = available[np.lexsort((jitter, -left[available]))[: cfg.P]]
+        left[chosen] -= 1
+        batches.append((
+            np.concatenate([feats[s][chunks[s][left[s]]] for s in chosen]),
+            np.repeat(chosen, cfg.K).astype(np.int64),
+        ))
     return batches
 
 
@@ -218,27 +212,23 @@ def train_toy(dataset, model0, tc, pk):
     """
     model = model0.copy()
     history = []
-    step = 0
-    epoch = 0
-    while step < tc.steps:
-        epoch_cfg = PkConfig(P=pk.P, K=pk.K, seed=pk.seed + epoch)
-        for feats, labels in pk_batches(dataset, epoch_cfg):
-            if step >= tc.steps:
-                break
-            raw_emb = model.embed(feats)
-            try:
-                batch = LossBatch(raw_emb, model.class_weights, labels)
-            except InvalidBatch:
-                raise DivergenceDetected(step, "parameters became non-finite")
-            loss, grad_emb, grad_w = combined_loss(batch, tc.sphereface, tc.circle)
-            if not math.isfinite(loss):
-                raise DivergenceDetected(step)
-            # raw_emb = feats @ P.T, so dL/dP = grad_emb.T @ feats
-            model.projection -= tc.learning_rate * (grad_emb.T @ feats)
-            model.class_weights -= tc.learning_rate * grad_w
-            history.append(loss)
-            step += 1
-        epoch += 1
+    epochs = chain.from_iterable(
+        pk_batches(dataset, PkConfig(P=pk.P, K=pk.K, seed=pk.seed + e)) for e in count()
+    )
+    # zip draws from range first, so no epoch is sampled past the last step
+    for step, (feats, labels) in zip(range(tc.steps), epochs):
+        raw_emb = model.embed(feats)
+        try:
+            batch = LossBatch(raw_emb, model.class_weights, labels)
+        except InvalidBatch:
+            raise DivergenceDetected(step, "parameters became non-finite")
+        loss, grad_emb, grad_w = combined_loss(batch, tc.sphereface, tc.circle)
+        if not math.isfinite(loss):
+            raise DivergenceDetected(step)
+        # raw_emb = feats @ P.T, so dL/dP = grad_emb.T @ feats
+        model.projection -= tc.learning_rate * (grad_emb.T @ feats)
+        model.class_weights -= tc.learning_rate * grad_w
+        history.append(loss)
     return model, history
 
 
@@ -246,9 +236,12 @@ def eval_toy(model, dataset, n_trials, seed=0):
     """Balanced target/nontarget trials on held-out utterances.
 
     Held-out utterances are drawn from the dataset's stored generation
-    config (means + noise) with an independent seed, embedded with the
-    model, and scored by cosine. With a single-speaker dataset only
-    target trials can be built.
+    config (means + noise) with an independent seed and embedded with
+    the model into one matrix, row s * per_spk + u for utterance u of
+    speaker s. Distinct (enroll row, test row) pairs, targets first, are
+    scored in one pass of `score_trials`' cosine kernel; a zero-norm
+    embedding in a trial raises ZeroNorm. With a single-speaker dataset
+    only target trials can be built.
     """
     if n_trials < 1:
         raise BadParams("n_trials must be >= 1")
@@ -261,32 +254,25 @@ def eval_toy(model, dataset, n_trials, seed=0):
         (n_spk, per_spk, dataset.d_in)
     )
     held = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-    emb = np.stack([model.embed(held[s]) for s in range(n_spk)])
-
-    if n_spk < 2:
-        n_target, n_nontarget = n_trials, 0
-    else:
-        n_nontarget = n_trials // 2
-        n_target = n_trials - n_nontarget
-
-    def utt_id(s, u):
-        return f"{dataset.speaker_ids[s]}-ho{u:03d}"
-
-    made = {}  # (enroll, test) -> cosine, targets first
+    emb = np.concatenate([model.embed(h) for h in held])
+    n_nontarget = n_trials // 2 if n_spk > 1 else 0
+    n_target = n_trials - n_nontarget
+    made = {}  # (enroll row, test row) -> None, in draw order
     while len(made) < n_target:
-        s = int(rng.integers(n_spk))
+        row = int(rng.integers(n_spk)) * per_spk
         u1, u2 = rng.choice(per_spk, size=2, replace=False)
-        key = (utt_id(s, u1), utt_id(s, u2))
-        if key not in made:
-            made[key] = cosine(emb[s, u1], emb[s, u2])
+        made[row + int(u1), row + int(u2)] = None
     while len(made) < n_target + n_nontarget:
         s1, s2 = rng.choice(n_spk, size=2, replace=False)
         u1, u2 = int(rng.integers(per_spk)), int(rng.integers(per_spk))
-        key = (utt_id(s1, u1), utt_id(s2, u2))
-        if key not in made:
-            made[key] = cosine(emb[s1, u1], emb[s2, u2])
-    labels = [LABEL_CODE[TrialLabel.TARGET]] * n_target
-    labels += [LABEL_CODE[TrialLabel.NONTARGET]] * n_nontarget
+        made[int(s1) * per_spk + u1, int(s2) * per_spk + u2] = None
+    pairs = np.array(list(made))
+    norms = np.linalg.norm(emb, axis=1)
+    if not norms[pairs].all():
+        raise ZeroNorm("cosine undefined for zero-norm vector")
+    ids = [f"{sid}-ho{u:03d}" for sid in dataset.speaker_ids for u in range(per_spk)]
+    codes = [LABEL_CODE[TrialLabel.TARGET], LABEL_CODE[TrialLabel.NONTARGET]]
     return ScoreSet.from_columns(
-        [e for e, _ in made], [t for _, t in made], labels, list(made.values())
+        [ids[e] for e, _ in made], [ids[t] for _, t in made],
+        np.repeat(codes, (n_target, n_nontarget)), _pair_cosines(emb, norms, *pairs.T),
     )

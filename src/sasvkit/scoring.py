@@ -13,12 +13,13 @@ fixed reject score.
 
 `score_trials` is a batched array engine. It maps every trial side to
 its row of the embedding matrix, computes raw cosines as row-wise dot
-products a chunk of trials at a time, and computes the cohort
-statistics once per distinct side: one GEMM of a block of sides against
-the whole cohort, `np.partition` for the top K of each row, and the
-mean and std of those K values sorted in descending order, so that the
-summation order, and the result, do not depend on how ties were
-ordered. AS-Norm is then one vectorized expression over all trials.
+products a chunk of trials at a time (`_pair_cosines`, which
+`sampler.eval_toy` shares), and computes the cohort statistics once per
+distinct side: one GEMM of a block of sides against the whole cohort,
+`np.partition` for the top K of each row, and the mean and std of
+those K values sorted in descending order, so that the summation order,
+and the result, do not depend on how ties were ordered. AS-Norm is then
+one vectorized expression over all trials.
 `top_k_cohort_scores`, `cohort_stats` and `as_norm` are the same
 computation for a single side; BLAS may sum the dot products of a
 block in another order than those of a single probe, so the two agree
@@ -182,13 +183,7 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
         return ScoreSet()
     mat = embeddings.matrix()
     norms = np.linalg.norm(mat.astype(np.float64), axis=1)
-    enroll, test = rows[0::2], rows[1::2]
-    scores = np.empty(len(trials))
-    for lo in range(0, len(trials), _TRIAL_CHUNK):
-        e, t = enroll[lo : lo + _TRIAL_CHUNK], test[lo : lo + _TRIAL_CHUNK]
-        dots = (mat[e].astype(np.float64) * mat[t]).sum(axis=1)
-        scores[lo : lo + _TRIAL_CHUNK] = dots / (norms[e] * norms[t])
-    np.clip(scores, -1.0, 1.0, out=scores)
+    scores = _pair_cosines(mat, norms, rows[0::2], rows[1::2])
     if cohort is not None:
         sides, inverse = np.unique(rows, return_inverse=True)
         mu, sigma = np.empty(len(sides)), np.empty(len(sides))
@@ -200,6 +195,17 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
         scores = 0.5 * ((scores - mu[ie]) / sigma[ie] + (scores - mu[it]) / sigma[it])
     labels = [LABEL_CODE[t.label] for t in trials]
     return ScoreSet.from_columns(enroll_ids, test_ids, labels, scores)
+
+
+def _pair_cosines(mat, norms, enroll, test):
+    """Cosines, clamped to [-1, 1], of rows enroll[i] and test[i] of `mat`
+    given its nonzero float64 row norms, a chunk of pairs at a time."""
+    scores = np.empty(len(enroll))
+    for lo in range(0, len(enroll), _TRIAL_CHUNK):
+        e, t = enroll[lo : lo + _TRIAL_CHUNK], test[lo : lo + _TRIAL_CHUNK]
+        dots = (mat[e].astype(np.float64) * mat[t]).sum(axis=1)
+        scores[lo : lo + _TRIAL_CHUNK] = dots / (norms[e] * norms[t])
+    return np.clip(scores, -1.0, 1.0, out=scores)
 
 
 def _mismatch(a, b):

@@ -5,14 +5,20 @@ candidate thresholds are midpoints between consecutive distinct scores
 (plus the infinities), and rates are counted with plain Python loops.
 The pair-gradient chain scatters each pair's contribution into its two
 rows one pair at a time instead of forming the dense BxB product. The
-embedding-row check looks at one row and one component at a time.
+embedding-row check looks at one row and one component at a time. The
+PK sampler sorts each batch's speakers with a Python key, held-out
+trials are scored one `cosine` call at a time, and the training loop
+counts its steps and epochs by hand.
 """
 
 import math
 
 import numpy as np
 
-from sasvkit.errors import DimensionMismatch, DuplicateId
+from sasvkit.core import LABEL_CODE, ScoreSet, TrialLabel
+from sasvkit.errors import DimensionMismatch, DivergenceDetected, DuplicateId
+from sasvkit.losses import LossBatch, combined_loss
+from sasvkit.scoring import cosine
 
 
 def frr_at(pos, tau):
@@ -91,3 +97,94 @@ def first_bad_embedding_row(ids, rows):
             return row, DuplicateId, f"duplicate embedding ID {uid!r}"
         seen.add(uid)
     return None
+
+
+def pk_batches(dataset, P, K, seed):
+    """One epoch of PK batches, speaker chunks kept as Python lists."""
+    rng = np.random.default_rng(seed)
+    chunks = {}  # speaker index -> list of index-chunks of length K
+    for s, sid in enumerate(dataset.speaker_ids):
+        n = dataset.speakers[sid].shape[0]
+        order = rng.permutation(n)
+        chunk_list = []
+        for start in range(0, n, K):
+            chunk = list(order[start : start + K])
+            while len(chunk) < K:
+                chunk.append(int(rng.integers(n)))
+            chunk_list.append(chunk)
+        chunks[s] = chunk_list
+    batches = []
+    while sum(1 for c in chunks.values() if c) >= P:
+        available = [s for s, c in chunks.items() if c]
+        jitter = rng.permutation(len(available))
+        ranked = sorted(
+            range(len(available)),
+            key=lambda i: (-len(chunks[available[i]]), jitter[i]),
+        )
+        feats, labels = [], []
+        for i in ranked[:P]:
+            s = available[i]
+            chunk = chunks[s].pop()
+            feats.append(dataset.speakers[dataset.speaker_ids[s]][chunk])
+            labels.extend([s] * K)
+        batches.append((np.concatenate(feats), np.array(labels, dtype=np.int64)))
+    return batches
+
+
+def train_toy(dataset, model, tc, pk):
+    """SGD over the reference's PK epochs (seed advanced per epoch);
+    updates `model` in place and returns the per-step loss history."""
+    history = []
+    step = 0
+    epoch = 0
+    while step < tc.steps:
+        for feats, labels in pk_batches(dataset, pk.P, pk.K, pk.seed + epoch):
+            if step >= tc.steps:
+                break
+            batch = LossBatch(model.embed(feats), model.class_weights, labels)
+            loss, grad_emb, grad_w = combined_loss(batch, tc.sphereface, tc.circle)
+            if not math.isfinite(loss):
+                raise DivergenceDetected(step)
+            model.projection -= tc.learning_rate * (grad_emb.T @ feats)
+            model.class_weights -= tc.learning_rate * grad_w
+            history.append(loss)
+            step += 1
+        epoch += 1
+    return history
+
+
+def eval_toy(model, dataset, n_trials, seed=0):
+    """Held-out trials drawn as ID-string pairs and scored one `cosine`
+    call per trial."""
+    rng = np.random.default_rng(seed)
+    n_spk = dataset.n_speakers
+    per_spk = max(2, math.ceil(2 * n_trials / n_spk))
+    raw = dataset.means[:, None, :] + dataset.noise * rng.standard_normal(
+        (n_spk, per_spk, dataset.d_in)
+    )
+    held = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+    emb = np.stack([model.embed(held[s]) for s in range(n_spk)])
+    n_nontarget = n_trials // 2 if n_spk >= 2 else 0
+    n_target = n_trials - n_nontarget
+
+    def utt_id(s, u):
+        return f"{dataset.speaker_ids[s]}-ho{u:03d}"
+
+    made = {}  # (enroll, test) -> cosine, targets first
+    while len(made) < n_target:
+        s = int(rng.integers(n_spk))
+        u1, u2 = rng.choice(per_spk, size=2, replace=False)
+        key = (utt_id(s, u1), utt_id(s, u2))
+        if key not in made:
+            made[key] = cosine(emb[s, u1], emb[s, u2])
+    while len(made) < n_target + n_nontarget:
+        s1, s2 = rng.choice(n_spk, size=2, replace=False)
+        u1, u2 = int(rng.integers(per_spk)), int(rng.integers(per_spk))
+        key = (utt_id(s1, u1), utt_id(s2, u2))
+        if key not in made:
+            made[key] = cosine(emb[s1, u1], emb[s2, u2])
+    labels = [LABEL_CODE[TrialLabel.TARGET]] * n_target
+    labels += [LABEL_CODE[TrialLabel.NONTARGET]] * n_nontarget
+    return ScoreSet.from_columns(
+        [e for e, _ in made], [t for _, t in made], labels, list(made.values())
+    )

@@ -295,3 +295,45 @@ def test_oversized_parameter_is_a_data_error(capsys):
     assert main(["train-toy", "--steps", "0", "--eval-trials", "1000000000000000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sasvkit: out of memory: ") and err.count("\n") == 1
+
+
+def _write_moe_files(tmp_path, n_gate_rows):
+    layers = np.random.default_rng(1).standard_normal((5, 6))
+    fileio.write_embeddings_text(EmbeddingSet.from_matrix(
+        [f"layer{i:02d}" for i in range(5)], layers), str(tmp_path / "layers.txt"))
+    params = GateParams.random(n_gate_rows, 6, seed=2)
+    fileio.write_gate_params(params.weight, params.bias, str(tmp_path / "gate.txt"))
+    # the embedding files hold float32 values
+    return layers.astype(np.float32).astype(np.float64), ["moe-demo", "--layers", str(tmp_path / "layers.txt"),
+                    "--gate", str(tmp_path / "gate.txt")]
+
+
+def test_moe_demo_unweighted_prints_the_weights_it_sums(tmp_path, capsys):
+    layers, argv = _write_moe_files(tmp_path, 4)
+    assert main(argv + ["--top-k", "2", "--unweighted"]) == 0
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    selected = [int(i) for i in out["selected"].split()]
+    assert len(selected) == 2
+    assert out["weights"] == "1.000000 1.000000"
+    fused = np.array([float(v) for v in out["fused"].split()])
+    assert np.allclose(fused, layers[-1] + layers[selected].sum(axis=0), rtol=0, atol=1e-12)
+
+
+def test_moe_demo_gate_with_too_few_rows_names_the_counts(tmp_path, capsys):
+    _, argv = _write_moe_files(tmp_path, 3)
+    assert main(argv + ["--top-k", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sasvkit: gate has 3 outputs for 4 candidate layers\n"
+
+
+@pytest.mark.parametrize("emb_dim", ["0", "-2"])
+def test_train_toy_bad_emb_dim_exits_2_before_training(emb_dim, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(sampler, "train_toy", no_training)
+    assert main(["train-toy", "--steps", "5", f"--emb-dim={emb_dim}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"got d_emb={emb_dim}," in captured.err

@@ -1,11 +1,15 @@
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import sasvkit.sampler as sampler_mod
 from sasvkit.core import TrialLabel
-from sasvkit.errors import BadParams, DivergenceDetected, TooFewSpeakers
+from sasvkit.errors import BadParams, DivergenceDetected, TooFewSpeakers, ZeroNorm
 from sasvkit.metrics import sv_eer
 from sasvkit.sampler import (
     PkConfig,
@@ -200,3 +204,87 @@ def test_eval_toy_zero_noise_perfect():
     model = ToyModel.random(6, 8, 5, seed=0)
     scores = eval_toy(model, ds, 50, seed=3)
     assert sv_eer(scores)[0] == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=2, max_size=7), st.integers(1, 6), st.data())
+def test_pk_batches_match_the_reference(utts, K, data):
+    # single-utterance speakers, K above a speaker's utterance count and
+    # P == n_speakers are all in range
+    P = data.draw(st.integers(2, len(utts)), label="P")
+    seed = data.draw(st.integers(0, 2**31), label="seed")
+    rng = np.random.default_rng(seed)
+    ds = SpeakerDataset({f"s{i}": rng.standard_normal((n, 3)) for i, n in enumerate(utts)})
+    for epoch in range(3):
+        got = pk_batches(ds, PkConfig(P=P, K=K, seed=seed + epoch))
+        want = oracles.pk_batches(ds, P, K, seed + epoch)
+        assert len(got) == len(want)
+        for (feats, labels), (ref_feats, ref_labels) in zip(got, want):
+            assert feats.dtype == ref_feats.dtype and feats.tobytes() == ref_feats.tobytes()
+            assert labels.dtype == np.int64 and np.array_equal(labels, ref_labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 5),
+       st.one_of(st.sampled_from([1, 2]), st.integers(1, 300)), st.integers(0, 2**31))
+def test_eval_toy_matches_the_reference(n_spk, d_in, d_emb, n_trials, seed):
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((n_spk, d_in))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    ds = SpeakerDataset({f"spk{i}": rng.standard_normal((2, d_in)) for i in range(n_spk)},
+                        means=means, noise=0.3)
+    model = ToyModel.random(d_emb, d_in, 2, seed=seed)
+    got = eval_toy(model, ds, n_trials, seed=seed)
+    want = oracles.eval_toy(model, ds, n_trials, seed=seed)
+    assert got.keys() == want.keys()
+    assert [t.label for t, _ in got] == [t.label for t, _ in want]
+    assert np.max(np.abs(got.scores() - want.scores())) <= 1e-15
+
+
+def test_train_toy_matches_a_reference_loop_over_epochs():
+    ds = gen_synthetic(4, 6, 8, noise=0.15, seed=5)
+    pk = PkConfig(P=2, K=2, seed=3)
+    # 4 speakers x 3 chunks in batches of 2 speakers: 6 batches an epoch
+    assert len(pk_batches(ds, pk)) == 6
+    tc = TrainConfig(steps=15, learning_rate=0.05)
+    model0 = ToyModel.random(6, 8, 4, seed=1)
+    model, history = train_toy(ds, model0, tc, pk)
+    reference = model0.copy()
+    assert history == oracles.train_toy(ds, reference, tc, pk)
+    assert np.array_equal(model.projection, reference.projection)
+    assert np.array_equal(model.class_weights, reference.class_weights)
+
+
+def test_eval_toy_zero_projection_raises_zero_norm_without_warnings():
+    ds = gen_synthetic(3, 4, 5, noise=0.1, seed=0)
+    model = ToyModel(np.zeros((4, 5)), np.ones((3, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroNorm):
+            eval_toy(model, ds, 10, seed=1)
+
+
+@pytest.mark.parametrize("d_emb, d_in, n_classes, named", [
+    (0, 5, 3, "d_emb=0"), (-2, 5, 3, "d_emb=-2"), (4, 0, 3, "d_in=0"), (4, 5, 1, "n_classes=1"),
+])
+def test_toy_model_random_rejects_bad_sizes(d_emb, d_in, n_classes, named):
+    with pytest.raises(BadParams, match=named):
+        ToyModel.random(d_emb, d_in, n_classes)
+
+
+def test_train_toy_samples_no_epoch_past_the_last_step(monkeypatch):
+    ds = gen_synthetic(4, 6, 8, noise=0.15, seed=5)
+    pk = PkConfig(P=2, K=2, seed=3)
+    seeds = []
+
+    def counting_pk_batches(dataset, cfg):
+        seeds.append(cfg.seed)
+        return pk_batches(dataset, cfg)
+
+    monkeypatch.setattr(sampler_mod, "pk_batches", counting_pk_batches)
+    model0 = ToyModel.random(6, 8, 4, seed=1)
+    train_toy(ds, model0, TrainConfig(steps=0), pk)
+    assert seeds == []
+    # 6 batches an epoch: 12 steps use exactly two epochs
+    train_toy(ds, model0, TrainConfig(steps=12, learning_rate=0.05), pk)
+    assert seeds == [3, 4]
