@@ -303,7 +303,7 @@ def _cmd_grad_check(args):
 
         for f in (f_sphere, f_combined):
             report = grad_check(f, X, step=args.step, tol=args.tol)
-            worst = max(worst, report.max_rel_error)
+            worst = np.maximum(worst, report.max_rel_error)  # keeps a NaN
             if not report.passed:
                 failed += 1
                 print(str(report), file=sys.stderr)
@@ -319,7 +319,7 @@ def _cmd_grad_check(args):
 
         report = grad_check(f_circle, np.concatenate([sp, sn]),
                             step=args.step, tol=args.tol)
-        worst = max(worst, report.max_rel_error)
+        worst = np.maximum(worst, report.max_rel_error)
         if not report.passed:
             failed += 1
             print(str(report), file=sys.stderr)

@@ -18,6 +18,12 @@ Two losses are implemented:
   convention), which also makes the finite-difference oracle
   well-defined.
 
+Rows are normalized once, when a `LossBatch` is built; both losses read
+those unit rows. Within-batch pairs come from one kernel: the clipped
+BxB cosine matrix and boolean masks of the i < j same-label and
+different-label pairs, read row-major. `mine_pairs` and the pair-gradient
+chain of `combined_loss` share it.
+
 Gradients are exact derivatives of the computation actually performed,
 including normalization of the raw inputs and the arccos clamp (a
 clamped coordinate contributes zero gradient). The kernels are numpy
@@ -82,8 +88,12 @@ class CircleConfig:
 class LossBatch:
     """Embeddings, class weights, and labels for one loss evaluation.
 
-    Rows of both matrices are unit-normalized inside the loss; callers
-    pass raw values and receive gradients w.r.t. those raw values.
+    Rows of both matrices are unit-normalized here, once, and the losses
+    read those unit rows; callers pass raw values and receive gradients
+    w.r.t. those raw values. A batch holds its arrays as they were at
+    construction: `np.asarray` keeps a float64 input without a copy, so
+    a caller that changes that array in place afterwards builds a new
+    batch.
     """
 
     def __init__(self, embeddings, class_weights, labels):
@@ -104,10 +114,8 @@ class LossBatch:
             raise InvalidBatch("non-finite values in batch")
         if np.any(y < 0) or np.any(y >= W.shape[0]):
             raise InvalidBatch("label outside [0, C)")
-        if np.any(np.linalg.norm(X, axis=1) == 0) or np.any(
-            np.linalg.norm(W, axis=1) == 0
-        ):
-            raise InvalidBatch("zero-norm row cannot be normalized")
+        # (X_hat, ||x||, W_hat, ||w||)
+        self._unit = _unit_rows(X) + _unit_rows(W)
         self.embeddings = X
         self.class_weights = W
         self.labels = y
@@ -140,9 +148,24 @@ class PairSet:
         self.s_n = np.asarray(self.s_n, dtype=np.float64)
 
 
-def _normalize_rows(M):
-    norms = np.linalg.norm(M, axis=1, keepdims=True)
-    return M / norms, norms[:, 0]
+def _unit_rows(M):
+    norms = np.linalg.norm(M, axis=1)
+    if np.any(norms == 0):
+        raise InvalidBatch("zero-norm row cannot be normalized")
+    return M / norms[:, None], norms
+
+
+def _pair_masks(Xh, y):
+    """Clipped cosine matrix of the unit rows Xh, and the masks of the
+    pairs i < j with the same label and with different labels.
+
+    Boolean indexing reads row-major, so sims[pos] lists the pairs
+    (0,1), (0,2), ..., (1,2), ... in that order.
+    """
+    idx = np.arange(len(y))
+    upper = idx[:, None] < idx
+    same = y[:, None] == y
+    return np.clip(Xh @ Xh.T, -1.0, 1.0), upper & same, upper & ~same
 
 
 def _log_softmax(z, axis=-1):
@@ -166,12 +189,10 @@ def sphereface_loss(batch, cfg=SphereFaceConfig()):
     [-1+eps, 1-eps] before arccos and the clamp is part of the
     differentiated graph.
     """
-    X, W, y = batch.embeddings, batch.class_weights, batch.labels
-    B = batch.size
+    Xh, xn, Wh, wn = batch._unit
+    y, B = batch.labels, batch.size
     s, m, eps = cfg.scale_s, cfg.margin_m, cfg.cos_clamp_eps
 
-    Xh, xn = _normalize_rows(X)
-    Wh, wn = _normalize_rows(W)
     C0 = Xh @ Wh.T
     Cc = np.clip(C0, -1.0 + eps, 1.0 - eps)
     active = (C0 > -1.0 + eps) & (C0 < 1.0 - eps)
@@ -209,25 +230,22 @@ def mine_pairs(embeddings, labels):
 
     Pairs are enumerated row-major: (0,1), (0,2), ..., (1,2), ... so the
     order is deterministic. Same-label pairs go to s_p, different-label
-    pairs to s_n.
+    pairs to s_n. Rows must be finite and non-zero (InvalidBatch).
     """
     X = np.asarray(embeddings, dtype=np.float64)
-    y = np.asarray(labels)
-    B = X.shape[0]
-    if B < 2:
+    if X.shape[0] < 2:
         raise InvalidBatch("pair mining needs at least 2 rows")
-    Xh, _ = _normalize_rows(X)
-    sims = np.clip(Xh @ Xh.T, -1.0, 1.0)
-    iu, ju = np.triu_indices(B, k=1)
-    same = y[iu] == y[ju]
-    pos_pairs = np.stack([iu[same], ju[same]], axis=1)
-    neg_pairs = np.stack([iu[~same], ju[~same]], axis=1)
-    return PairSet(
-        s_p=sims[iu[same], ju[same]],
-        s_n=sims[iu[~same], ju[~same]],
-        pos_pairs=pos_pairs,
-        neg_pairs=neg_pairs,
-    )
+    if not np.all(np.isfinite(X)):
+        raise InvalidBatch("non-finite values in batch")
+    sims, pos, neg = _pair_masks(_unit_rows(X)[0], np.asarray(labels))
+    return PairSet(sims[pos], sims[neg], np.argwhere(pos), np.argwhere(neg))
+
+
+def circle_alphas(pairs, cfg=CircleConfig()):
+    """The self-paced weights at the given similarities (for freezing)."""
+    a_p = np.maximum(0.0, cfg.o_p - pairs.s_p)
+    a_n = np.maximum(0.0, pairs.s_n - cfg.o_n)
+    return a_p, a_n
 
 
 def circle_loss(pairs, cfg=CircleConfig(), alphas=None):
@@ -239,18 +257,14 @@ def circle_loss(pairs, cfg=CircleConfig(), alphas=None):
     uses to keep them frozen at the base point.
     """
     sp, sn = pairs.s_p, pairs.s_n
-    for arr in (sp, sn):
-        if arr.size and (np.any(arr < -1.0) or np.any(arr > 1.0)):
-            raise ValueOutOfRange("pair similarity outside [-1, 1]")
+    # written so that NaN fails too
+    if not (np.all(np.abs(sp) <= 1.0) and np.all(np.abs(sn) <= 1.0)):
+        raise ValueOutOfRange("pair similarity outside [-1, 1]")
     if sp.size == 0 or sn.size == 0:
         return 0.0, np.zeros_like(sp), np.zeros_like(sn)
 
     g = cfg.gamma
-    if alphas is None:
-        a_p = np.maximum(0.0, cfg.o_p - sp)
-        a_n = np.maximum(0.0, sn - cfg.o_n)
-    else:
-        a_p, a_n = alphas
+    a_p, a_n = circle_alphas(pairs, cfg) if alphas is None else alphas
 
     logit_p = -g * a_p * (sp - cfg.delta_p)
     logit_n = g * a_n * (sn - cfg.delta_n)
@@ -265,13 +279,6 @@ def circle_loss(pairs, cfg=CircleConfig(), alphas=None):
     return loss, grad_sp, grad_sn
 
 
-def circle_alphas(pairs, cfg=CircleConfig()):
-    """The self-paced weights at the given similarities (for freezing)."""
-    a_p = np.maximum(0.0, cfg.o_p - pairs.s_p)
-    a_n = np.maximum(0.0, pairs.s_n - cfg.o_n)
-    return a_p, a_n
-
-
 def combined_loss(batch, sf=SphereFaceConfig(), cc=CircleConfig(), frozen_alphas=None):
     """Angular-margin loss plus weighted pairwise loss over mined pairs.
 
@@ -284,16 +291,17 @@ def combined_loss(batch, sf=SphereFaceConfig(), cc=CircleConfig(), frozen_alphas
     if cc.weight == 0.0 or batch.size < 2:
         return sf_loss, grad_X, grad_W
 
-    pairs = mine_pairs(batch.embeddings, batch.labels)
-    c_loss, grad_sp, grad_sn = circle_loss(pairs, cc, alphas=frozen_alphas)
+    Xh, xn = batch._unit[:2]
+    sims, pos, neg = _pair_masks(Xh, batch.labels)
+    c_loss, grad_sp, grad_sn = circle_loss(PairSet(sims[pos], sims[neg]), cc,
+                                           alphas=frozen_alphas)
     total = sf_loss + cc.weight * c_loss
     if c_loss == 0.0:
         return total, grad_X, grad_W
 
-    G = np.zeros((batch.size, batch.size))
-    G[tuple(pairs.pos_pairs.T)] = cc.weight * grad_sp
-    G[tuple(pairs.neg_pairs.T)] = cc.weight * grad_sn
-    Xh, xn = _normalize_rows(batch.embeddings)
+    G = np.zeros_like(sims)
+    G[pos] = cc.weight * grad_sp
+    G[neg] = cc.weight * grad_sn
     grad_X += _backprop_row_normalization((G + G.T) @ Xh, Xh, xn)
     return total, grad_X, grad_W
 
@@ -328,8 +336,10 @@ def grad_check(f, point, step=1e-5, tol=1e-4, exclude=None):
     (e.g. where a clamp or hinge is active and the derivative is not
     defined); excluded coordinates are reported, not checked.
 
-    The relative error per coordinate is |a - n| / max(1, |a|, |n|).
-    Raises ValueError unless `step` and `tol` are finite and > 0.
+    The relative error per coordinate is |a - n| / max(1, |a|, |n|). A
+    NaN error (from a NaN or infinite a or n) fails the coordinate and
+    makes max_rel_error NaN. Raises ValueError unless `step` and `tol`
+    are finite and > 0.
     """
     for name, value in (("step", step), ("tol", tol)):
         # written so that NaN fails too
@@ -340,43 +350,27 @@ def grad_check(f, point, step=1e-5, tol=1e-4, exclude=None):
     analytic = np.asarray(analytic, dtype=np.float64)
     if analytic.shape != point.shape:
         raise ValueError("gradient shape does not match point shape")
-    if exclude is None:
-        exclude = np.zeros(point.shape, dtype=bool)
-    else:
-        exclude = np.asarray(exclude, dtype=bool)
-
+    exclude = np.zeros(point.shape, bool) if exclude is None else np.asarray(exclude, bool)
     flat = point.ravel()
-    a_flat = analytic.ravel()
-    ex_flat = exclude.ravel()
-    failures = []
-    excluded = []
-    max_rel = 0.0
-    n_checked = 0
-    for k in range(flat.size):
-        if ex_flat[k]:
-            excluded.append(k)
-            continue
-        x_plus = flat.copy()
-        x_minus = flat.copy()
-        x_plus[k] += step
-        x_minus[k] -= step
-        f_plus, _ = f(x_plus.reshape(point.shape))
-        f_minus, _ = f(x_minus.reshape(point.shape))
-        numeric = (f_plus - f_minus) / (2.0 * step)
-        denom = max(1.0, abs(a_flat[k]), abs(numeric))
-        rel = abs(a_flat[k] - numeric) / denom
-        n_checked += 1
-        if rel > max_rel:
-            max_rel = rel
-        if rel > tol:
-            failures.append((k, float(a_flat[k]), float(numeric), float(rel)))
+
+    def f_at(k, delta):
+        x = flat.copy()
+        x[k] += delta
+        return f(x.reshape(point.shape))[0]
+
+    checked = np.flatnonzero(~exclude.ravel())
+    numeric = np.array([(f_at(k, step) - f_at(k, -step)) / (2.0 * step) for k in checked])
+    a = analytic.ravel()[checked]
+    with np.errstate(invalid="ignore"):  # an infinite a or n gives rel NaN
+        rel = np.abs(a - numeric) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(numeric)))
+    bad = ~(rel <= tol)  # NaN fails
     return GradCheckReport(
-        passed=not failures,
-        max_rel_error=max_rel,
-        n_checked=n_checked,
-        n_excluded=len(excluded),
+        passed=not bad.any(),
+        max_rel_error=float(np.max(rel, initial=0.0)),
+        n_checked=checked.size,
+        n_excluded=flat.size - checked.size,
         step=step,
         tol=tol,
-        failures=failures,
-        excluded_indices=excluded,
+        failures=list(zip(*(v[bad].tolist() for v in (checked, a, numeric, rel)))),
+        excluded_indices=np.flatnonzero(exclude).tolist(),
     )

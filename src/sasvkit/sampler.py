@@ -46,6 +46,9 @@ class SpeakerDataset:
         cleaned = {}
         for sid, feats in speakers.items():
             feats = np.asarray(feats, dtype=np.float64)
+            if feats.ndim != 2 or 0 in feats.shape:
+                raise BadParams(f"features for speaker {sid!r} must be an n x D matrix "
+                                f"with n >= 1 and D >= 1, got shape {feats.shape}")
             if not np.all(np.isfinite(feats)):
                 raise BadParams(f"non-finite features for speaker {sid!r}")
             dims.add(feats.shape[1])

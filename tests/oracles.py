@@ -4,7 +4,9 @@ These deliberately avoid the library's vectorized implementations:
 candidate thresholds are midpoints between consecutive distinct scores
 (plus the infinities), and rates are counted with plain Python loops.
 The pair-gradient chain scatters each pair's contribution into its two
-rows one pair at a time instead of forming the dense BxB product. The
+rows one pair at a time instead of forming the dense BxB product.
+Within-batch pairs are enumerated from `np.triu_indices` and gathered by
+index, and the pairwise term normalizes the rows on each call. The
 embedding-row check looks at one row and one component at a time. The
 PK sampler sorts each batch's speakers with a Python key, held-out
 trials are scored one `cosine` call at a time, and the training loop
@@ -16,8 +18,8 @@ import math
 import numpy as np
 
 from sasvkit.core import LABEL_CODE, ScoreSet, TrialLabel
-from sasvkit.errors import DimensionMismatch, DivergenceDetected, DuplicateId
-from sasvkit.losses import LossBatch, combined_loss
+from sasvkit.errors import DimensionMismatch, DivergenceDetected, DuplicateId, InvalidBatch
+from sasvkit.losses import LossBatch, PairSet, circle_loss, combined_loss, sphereface_loss
 from sasvkit.scoring import cosine
 
 
@@ -75,6 +77,48 @@ def chain_pair_grads_per_pair(grad_out, pair_grads, pairs_idx, X):
     gj = pair_grads[:, None] * (Xh[i] - s[:, None] * Xh[j]) / norms[j, None]
     np.add.at(grad_out, i, gi)
     np.add.at(grad_out, j, gj)
+
+
+def mine_pairs_by_index(embeddings, labels):
+    """`losses.mine_pairs` with the pairs taken from `np.triu_indices`."""
+    X = np.asarray(embeddings, dtype=np.float64)
+    y = np.asarray(labels)
+    B = X.shape[0]
+    if B < 2:
+        raise InvalidBatch("pair mining needs at least 2 rows")
+    Xh = X / np.linalg.norm(X, axis=1, keepdims=True)
+    sims = np.clip(Xh @ Xh.T, -1.0, 1.0)
+    iu, ju = np.triu_indices(B, k=1)
+    same = y[iu] == y[ju]
+    return PairSet(
+        s_p=sims[iu[same], ju[same]],
+        s_n=sims[iu[~same], ju[~same]],
+        pos_pairs=np.stack([iu[same], ju[same]], axis=1),
+        neg_pairs=np.stack([iu[~same], ju[~same]], axis=1),
+    )
+
+
+def combined_loss_by_index(batch, sf, cc, frozen_alphas=None):
+    """`losses.combined_loss` through `mine_pairs_by_index`: the rows are
+    normalized again for the pairwise term and the pair gradients are
+    scattered into the dense BxB matrix by (i, j) index."""
+    sf_loss, grad_X, grad_W = sphereface_loss(batch, sf)
+    if cc.weight == 0.0 or batch.size < 2:
+        return sf_loss, grad_X, grad_W
+    pairs = mine_pairs_by_index(batch.embeddings, batch.labels)
+    c_loss, grad_sp, grad_sn = circle_loss(pairs, cc, alphas=frozen_alphas)
+    total = sf_loss + cc.weight * c_loss
+    if c_loss == 0.0:
+        return total, grad_X, grad_W
+    G = np.zeros((batch.size, batch.size))
+    G[tuple(pairs.pos_pairs.T)] = cc.weight * grad_sp
+    G[tuple(pairs.neg_pairs.T)] = cc.weight * grad_sn
+    norms = np.linalg.norm(batch.embeddings, axis=1, keepdims=True)
+    Xh = batch.embeddings / norms
+    G_hat = (G + G.T) @ Xh
+    # d(x/||x||)/dx applied to G_hat
+    grad_X += (G_hat - np.sum(G_hat * Xh, axis=1, keepdims=True) * Xh) / norms
+    return total, grad_X, grad_W
 
 
 def first_bad_embedding_row(ids, rows):

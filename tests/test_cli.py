@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sasvkit
-from sasvkit import fileio, metrics, sampler, scoring
+from sasvkit import cli, fileio, losses, metrics, sampler, scoring
 from sasvkit.cli import main
 from sasvkit.core import Embedding, EmbeddingSet, ScoreSet, Trial, TrialLabel
 from sasvkit.moe import GateParams
@@ -236,6 +236,16 @@ def test_cli_import_does_not_load_scipy():
 def test_grad_check_command(capsys):
     assert main(["grad-check", "--instances", "3", "--seed", "1"]) == 0
     assert "failed=0" in capsys.readouterr().out
+
+
+def test_grad_check_exits_3_on_a_nan_gradient(monkeypatch, capsys):
+    def nan_gradient(batch, *args, **kwargs):
+        loss, grad_X, grad_W = losses.combined_loss(batch, *args, **kwargs)
+        return loss, np.full_like(grad_X, np.nan), grad_W
+
+    monkeypatch.setattr(cli, "combined_loss", nan_gradient)
+    assert main(["grad-check", "--instances", "2"]) == 3
+    assert capsys.readouterr().out == "instances=2 failed=2 max_rel_error=nan\n"
 
 
 @pytest.mark.parametrize("option, message", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.special import expit, log_softmax, logsumexp, softmax
 
+import oracles
 from oracles import chain_pair_grads_per_pair
 from sasvkit.errors import InvalidBatch, ValueOutOfRange
 from sasvkit.losses import (
@@ -366,3 +368,93 @@ def test_circle_loss_matches_scipy(sp, sn, gamma):
     assert abs(got[0] - ref[0]) <= 1e-12 * max(1.0, abs(ref[0]))
     for g, r in zip(got[1:], ref[1:]):
         assert np.all(np.abs(g - r) <= 1e-12 * np.abs(r) + 1e-300)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: (float(x @ x), np.full_like(x, np.nan)),  # NaN derivative
+    lambda x: (math.nan, 2 * x),  # NaN loss
+    lambda x: (float(x @ x), np.full_like(x, np.inf)),  # infinite derivative
+])
+def test_grad_check_fails_a_nan_relative_error(f):
+    report = grad_check(f, np.ones(3))
+    assert not report.passed
+    assert [k for k, *_ in report.failures] == [0, 1, 2]
+    assert math.isnan(report.max_rel_error)
+    assert str(report).startswith("grad_check FAIL: max_rel_error=nan ")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "zero-norm row cannot be normalized"),
+    ([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]], "non-finite values in batch"),
+    ([[1.0, 0.0], [1.0, 0.0], [0.0, -np.inf]], "non-finite values in batch"),
+])
+def test_mine_pairs_rejects_rows_it_cannot_normalize(rows, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidBatch, match=f"^{message}$"):
+            mine_pairs(rows, [0, 0, 1])
+
+
+@pytest.mark.parametrize("sp, sn", [([math.nan], [0.2]), ([0.2], [math.nan]),
+                                    ([math.nan], [])])
+def test_circle_loss_rejects_a_nan_similarity(sp, sn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueOutOfRange, match="outside"):
+            circle_loss(PairSet(sp, sn))
+
+
+@st.composite
+def _reference_batches(draw):
+    """A loss batch with B from 1 to 12, labels mixed, all equal or all
+    distinct, some rows repeating another row's direction at another
+    norm, a pair weight of 0 among others, and live or perturbed frozen
+    self-paced weights."""
+    B = draw(st.integers(1, 12))
+    D = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((B, D))
+    row = st.integers(0, B - 1)
+    for dst, src in draw(st.lists(st.tuples(row, row), max_size=3)):
+        X[dst] = draw(st.sampled_from([0.5, 3.0])) * X[src]
+    kind = draw(st.sampled_from(["mixed", "same", "distinct"]))
+    y = {"mixed": rng.integers(0, 3, size=B), "same": np.zeros(B, dtype=np.int64),
+         "distinct": np.arange(B)}[kind]
+    batch = LossBatch(X, rng.standard_normal((max(B, 3), D)), y)
+    cc = CircleConfig(gamma=draw(st.sampled_from([1.0, 80.0])),
+                      weight=draw(st.sampled_from([0.0, 0.2, 1.0])))
+    frozen = None
+    if B >= 2 and draw(st.booleans()):
+        a_p, a_n = circle_alphas(oracles.mine_pairs_by_index(X, y), cc)
+        frozen = (a_p * rng.uniform(0.5, 1.5, a_p.size), a_n * rng.uniform(0.5, 1.5, a_n.size))
+    return batch, cc, frozen
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reference_batches())
+def test_mine_pairs_matches_the_index_pair_reference(case):
+    batch, _, _ = case
+    X, y = batch.embeddings, batch.labels
+    if batch.size < 2:
+        for mine in (mine_pairs, oracles.mine_pairs_by_index):
+            with pytest.raises(InvalidBatch, match="at least 2 rows"):
+                mine(X, y)
+        return
+    got, want = mine_pairs(X, y), oracles.mine_pairs_by_index(X, y)
+    for name in ("s_p", "s_n", "pos_pairs", "neg_pairs"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reference_batches())
+def test_combined_loss_matches_the_index_scatter_reference(case):
+    batch, cc, frozen = case
+    sf = SphereFaceConfig()
+    got = combined_loss(batch, sf, cc, frozen_alphas=frozen)
+    want = oracles.combined_loss_by_index(batch, sf, cc, frozen_alphas=frozen)
+    assert got[0] == want[0]
+    assert _same_bits(got[1], want[1]) and _same_bits(got[2], want[2])

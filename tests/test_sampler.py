@@ -61,6 +61,12 @@ def test_train_config_rejects_bad_learning_rate(lr):
         TrainConfig(learning_rate=lr)
 
 
+@pytest.mark.parametrize("feats", [np.zeros((0, 4)), np.ones(4), np.zeros((2, 0))])
+def test_speaker_dataset_rejects_features_that_are_not_a_matrix(feats):
+    with pytest.raises(BadParams, match="speaker 's0'"):
+        SpeakerDataset({"s0": feats, "s1": np.ones((3, 4)), "s2": np.ones((2, 4))})
+
+
 def test_pk_exact_cover():
     ds = gen_synthetic(2, 2, 4, noise=0.1, seed=0)
     batches = pk_batches(ds, PkConfig(P=2, K=2, seed=0))
