@@ -33,6 +33,7 @@ from .losses import (
     mine_pairs,
     sphereface_loss,
 )
+from .sampler import _draw_pairs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,7 +100,7 @@ def _build_parser():
     p.add_argument("--layers", required=True,
                    help="embedding text file, rows = layers in depth order")
     p.add_argument("--gate", required=True,
-                   help="gate file: rows of D+1 values (weight row + bias)")
+                   help="gate file: rows of a name and D+1 values (weight row + bias)")
     p.add_argument("--top-k", type=_top_k, default=moe.DEFAULT_TOP_K)
     p.add_argument("--unweighted", action="store_true",
                    help="sum selected layers without gate weighting")
@@ -229,25 +230,16 @@ def _cmd_gen_synth(args):
     if args.trials_out and not 0 <= args.n_trials <= pairs:
         raise BadParams(f"--n-trials must be between 0 and {pairs}, the number of "
                         "ordered pairs of distinct utterances")
-    fileio.write_embeddings_text(_dataset_to_embeddings(dataset), args.out)
+    embeddings = _dataset_to_embeddings(dataset)
+    fileio.write_embeddings_text(embeddings, args.out)
     if args.trials_out:
-        rng = np.random.default_rng(args.seed + 1)
-        trials, seen = [], set()
-        while len(trials) < args.n_trials:
-            s1 = int(rng.integers(args.speakers))
-            same = bool(rng.integers(2))
-            s2 = s1 if same else int((s1 + 1 + rng.integers(args.speakers - 1))
-                                     % args.speakers)
-            u1, u2 = rng.integers(args.utts), rng.integers(args.utts)
-            if same and u1 == u2:
-                continue
-            key = (f"spk{s1:03d}-utt{u1:03d}", f"spk{s2:03d}-utt{u2:03d}")
-            if key in seen:
-                continue
-            seen.add(key)
-            label = TrialLabel.TARGET if same else TrialLabel.NONTARGET
-            trials.append(Trial(key[0], key[1], label))
-        fileio.write_trials(trials, args.trials_out)
+        S, U, n = args.speakers, args.utts, args.n_trials
+        n_target = min(n - n // 2, S * U * (U - 1))
+        enroll, test = _draw_pairs(np.random.default_rng(args.seed + 1), S, U, n_target, n - n_target)
+        ids = embeddings.ids()
+        labels = [TrialLabel.TARGET] * n_target + [TrialLabel.NONTARGET] * (n - n_target)
+        fileio.write_trials([Trial(ids[e], ids[t], label) for e, t, label
+                             in zip(enroll.tolist(), test.tolist(), labels)], args.trials_out)
     return EXIT_OK
 
 

@@ -27,6 +27,9 @@ misparsed; a corrupted magic fails the magic check itself.
 Trial file: `<enroll_id> <test_id> [label]` and score file:
 `<enroll_id> <test_id> <score> [label]`, with the label field one of
 target/nontarget/spoof (`_label_code`); a missing label means unlabeled.
+
+Gate file: one `<name> <w1> ... <wD> <bias>` line per gate output, read
+and written as float64.
 """
 
 import struct
@@ -113,13 +116,15 @@ def _check_ids(ids, first):
 # ---------------------------------------------------------------- embeddings
 
 
-def _parse_embeddings_text(data):
+def _value_rows(data, dtype, what):
+    """(first fields, rows) of the text `data`: each line's first field
+    and its other fields as a `dtype` vector, all of one length."""
     ids, rows = [], []
     for lineno, fields in _lines(data):
         if len(fields) < 2:
-            raise ParseError("embedding line needs an ID and values", line=lineno)
+            raise ParseError(f"{what} line needs an ID and values", line=lineno)
         try:
-            values = np.array([float(v) for v in fields[1:]], dtype=np.float32)
+            values = np.array([float(v) for v in fields[1:]], dtype=dtype)
         except ValueError as e:
             raise ParseError(f"bad number: {e}", line=lineno) from None
         if rows and values.shape[0] != rows[0].shape[0]:
@@ -128,6 +133,11 @@ def _parse_embeddings_text(data):
             )
         ids.append(fields[0])
         rows.append(values)
+    return ids, rows
+
+
+def _parse_embeddings_text(data):
+    ids, rows = _value_rows(data, np.float32, "embedding")
     try:
         return EmbeddingSet.from_matrix(ids, np.stack(rows) if rows else np.empty((0, 0)))
     except DuplicateId as e:
@@ -259,23 +269,29 @@ def write_scores(scores, path_or_stream):
 
 
 def parse_gate_params(path_or_stream):
-    """Gate parameters from the embedding text format.
-
-    Each row is a pseudo-embedding of D+1 values: the first D are one
-    gate weight row, the last is that row's bias. Rows are candidate
-    layers in file order (depth order, final layer excluded).
-    Returns (weight, bias) float64 arrays.
+    """Gate parameters: one `<name> <w1> ... <wD> <bias>` line per gate
+    output, candidate layers in file order (depth order, final layer
+    excluded). The name is not checked. Returns (weight, bias) float64
+    arrays.
     """
-    embset = parse_embeddings(path_or_stream, format="text")
-    if len(embset) == 0 or embset.dim < 2:
-        raise ParseError("gate file needs rows of D+1 values", line=1)
-    mat = embset.matrix().astype(np.float64)
+    data = _read(path_or_stream)
+    _, rows = _value_rows(data, np.float64, "gate")
+    if not rows or rows[0].shape[0] < 2:
+        raise ParseError("gate file needs rows of D+1 values",
+                         line=_line_of(data, 0) if rows else 1)
+    mat = np.stack(rows)
+    finite = np.isfinite(mat).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite gate value", line=_line_of(data, int(np.argmin(finite))))
     return mat[:, :-1], mat[:, -1]
 
 
 def write_gate_params(weight, bias, path_or_stream):
-    rows = np.concatenate(
-        [np.asarray(weight, dtype=np.float64), np.asarray(bias)[:, None]], axis=1
-    )
-    embset = EmbeddingSet.from_matrix([f"gate{i:03d}" for i in range(len(rows))], rows)
-    write_embeddings_text(embset, path_or_stream)
+    """Gate rows `gate000`, `gate001`, ... with shortest round-trip
+    decimals of the float64 values, so they parse back exactly."""
+    rows = np.concatenate([np.asarray(weight, dtype=np.float64),
+                           np.asarray(bias, dtype=np.float64)[:, None]], axis=1)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("non-finite gate value")
+    _write_all("".join([f"gate{i:03d} " + " ".join(map(repr, row)) + "\n"
+                        for i, row in enumerate(rows.tolist())]), path_or_stream)

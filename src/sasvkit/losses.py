@@ -97,20 +97,15 @@ class LossBatch:
     """
 
     def __init__(self, embeddings, class_weights, labels):
-        X = np.asarray(embeddings, dtype=np.float64)
+        X, y = _batch_rows(embeddings, np.asarray(labels, dtype=np.int64))
         W = np.asarray(class_weights, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.int64)
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise InvalidBatch("embeddings must be a BxD matrix with B >= 1")
         if W.ndim != 2 or W.shape[0] < 2:
             raise InvalidBatch("class_weights must be a CxD matrix with C >= 2")
         if X.shape[1] != W.shape[1]:
             raise InvalidBatch(
                 f"embedding dim {X.shape[1]} vs class weight dim {W.shape[1]}"
             )
-        if y.shape != (X.shape[0],):
-            raise InvalidBatch("labels must be a length-B vector")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(W))):
+        if not np.all(np.isfinite(W)):
             raise InvalidBatch("non-finite values in batch")
         if np.any(y < 0) or np.any(y >= W.shape[0]):
             raise InvalidBatch("label outside [0, C)")
@@ -146,6 +141,20 @@ class PairSet:
     def __post_init__(self):
         self.s_p = np.asarray(self.s_p, dtype=np.float64)
         self.s_n = np.asarray(self.s_n, dtype=np.float64)
+
+
+def _batch_rows(embeddings, labels):
+    """(X, y): the embeddings as a finite float64 BxD matrix with B >= 1
+    and the labels as a length-B vector, or InvalidBatch."""
+    X = np.asarray(embeddings, dtype=np.float64)
+    y = np.asarray(labels)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise InvalidBatch("embeddings must be a BxD matrix with B >= 1")
+    if y.shape != (X.shape[0],):
+        raise InvalidBatch("labels must be a length-B vector")
+    if not np.all(np.isfinite(X)):
+        raise InvalidBatch("non-finite values in batch")
+    return X, y
 
 
 def _unit_rows(M):
@@ -230,14 +239,13 @@ def mine_pairs(embeddings, labels):
 
     Pairs are enumerated row-major: (0,1), (0,2), ..., (1,2), ... so the
     order is deterministic. Same-label pairs go to s_p, different-label
-    pairs to s_n. Rows must be finite and non-zero (InvalidBatch).
+    pairs to s_n. The rows must form a BxD matrix with B >= 2 and be
+    finite and non-zero, with one label each (InvalidBatch).
     """
-    X = np.asarray(embeddings, dtype=np.float64)
+    X, y = _batch_rows(embeddings, labels)
     if X.shape[0] < 2:
         raise InvalidBatch("pair mining needs at least 2 rows")
-    if not np.all(np.isfinite(X)):
-        raise InvalidBatch("non-finite values in batch")
-    sims, pos, neg = _pair_masks(_unit_rows(X)[0], np.asarray(labels))
+    sims, pos, neg = _pair_masks(_unit_rows(X)[0], y)
     return PairSet(sims[pos], sims[neg], np.argwhere(pos), np.argwhere(neg))
 
 

@@ -148,11 +148,6 @@ class TrainConfig:
             raise BadParams("learning_rate must be finite and > 0")
 
 
-def _random_unit_vectors(rng, n, d):
-    v = rng.standard_normal((n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def gen_synthetic(n_speakers, utts_per_speaker, d_in, noise, seed=0):
     """Clustered unit-vector features for a synthetic speaker population."""
     if n_speakers < 2 or utts_per_speaker < 1 or d_in < 1 or noise < 0:
@@ -160,12 +155,11 @@ def gen_synthetic(n_speakers, utts_per_speaker, d_in, noise, seed=0):
             "need n_speakers >= 2, utts_per_speaker >= 1, d_in >= 1, noise >= 0"
         )
     rng = np.random.default_rng(seed)
-    means = _random_unit_vectors(rng, n_speakers, d_in)
-    speakers = {}
-    for i in range(n_speakers):
-        raw = means[i] + noise * rng.standard_normal((utts_per_speaker, d_in))
-        speakers[f"spk{i:03d}"] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return SpeakerDataset(speakers, means=means, noise=noise)
+    means = rng.standard_normal((n_speakers, d_in))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    raw = means[:, None, :] + noise * rng.standard_normal((n_speakers, utts_per_speaker, d_in))
+    feats = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+    return SpeakerDataset({f"spk{i:03d}": f for i, f in enumerate(feats)}, means=means, noise=noise)
 
 
 def pk_batches(dataset, cfg):
@@ -235,6 +229,22 @@ def train_toy(dataset, model0, tc, pk):
     return model, history
 
 
+def _draw_pairs(rng, n_spk, per_spk, n_target, n_nontarget):
+    """(enroll rows, test rows) over rows s * per_spk + u: `n_target`
+    same-speaker pairs of distinct rows, then `n_nontarget` cross-speaker
+    pairs, each class one uniform draw without replacement of indices
+    into all its pairs; the second utterance (speaker) skips the first."""
+    p = per_spk
+    t = rng.choice(n_spk * p * (p - 1), n_target, replace=False)
+    s, u1, u2 = np.unravel_index(t, (n_spk, p, p - 1))
+    u2 += u2 >= u1
+    c = rng.choice(n_spk * (n_spk - 1) * p * p, n_nontarget, replace=False)
+    s1, s2, v1, v2 = np.unravel_index(c, (n_spk, n_spk - 1, p, p))
+    s2 += s2 >= s1
+    return (np.concatenate((s * p + u1, s1 * p + v1)),
+            np.concatenate((s * p + u2, s2 * p + v2)))
+
+
 def eval_toy(model, dataset, n_trials, seed=0):
     """Balanced target/nontarget trials on held-out utterances.
 
@@ -242,9 +252,9 @@ def eval_toy(model, dataset, n_trials, seed=0):
     config (means + noise) with an independent seed and embedded with
     the model into one matrix, row s * per_spk + u for utterance u of
     speaker s. Distinct (enroll row, test row) pairs, targets first, are
-    scored in one pass of `score_trials`' cosine kernel; a zero-norm
-    embedding in a trial raises ZeroNorm. With a single-speaker dataset
-    only target trials can be built.
+    drawn by `_draw_pairs` and scored in one pass of `score_trials`'
+    cosine kernel; a zero-norm embedding in a trial raises ZeroNorm.
+    With a single-speaker dataset only target trials can be built.
     """
     if n_trials < 1:
         raise BadParams("n_trials must be >= 1")
@@ -257,25 +267,16 @@ def eval_toy(model, dataset, n_trials, seed=0):
         (n_spk, per_spk, dataset.d_in)
     )
     held = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-    emb = np.concatenate([model.embed(h) for h in held])
+    emb = model.embed(held.reshape(-1, dataset.d_in))
     n_nontarget = n_trials // 2 if n_spk > 1 else 0
     n_target = n_trials - n_nontarget
-    made = {}  # (enroll row, test row) -> None, in draw order
-    while len(made) < n_target:
-        row = int(rng.integers(n_spk)) * per_spk
-        u1, u2 = rng.choice(per_spk, size=2, replace=False)
-        made[row + int(u1), row + int(u2)] = None
-    while len(made) < n_target + n_nontarget:
-        s1, s2 = rng.choice(n_spk, size=2, replace=False)
-        u1, u2 = int(rng.integers(per_spk)), int(rng.integers(per_spk))
-        made[int(s1) * per_spk + u1, int(s2) * per_spk + u2] = None
-    pairs = np.array(list(made))
+    enroll, test = _draw_pairs(rng, n_spk, per_spk, n_target, n_nontarget)
     norms = np.linalg.norm(emb, axis=1)
-    if not norms[pairs].all():
+    if not (norms[enroll].all() and norms[test].all()):
         raise ZeroNorm("cosine undefined for zero-norm vector")
     ids = [f"{sid}-ho{u:03d}" for sid in dataset.speaker_ids for u in range(per_spk)]
     codes = [LABEL_CODE[TrialLabel.TARGET], LABEL_CODE[TrialLabel.NONTARGET]]
     return ScoreSet.from_columns(
-        [ids[e] for e, _ in made], [ids[t] for _, t in made],
-        np.repeat(codes, (n_target, n_nontarget)), _pair_cosines(emb, norms, *pairs.T),
+        [ids[e] for e in enroll.tolist()], [ids[t] for t in test.tolist()],
+        np.repeat(codes, (n_target, n_nontarget)), _pair_cosines(emb, norms, enroll, test),
     )

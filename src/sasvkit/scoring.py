@@ -29,6 +29,7 @@ All functions are pure; scores are float64 throughout.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -75,10 +76,11 @@ class AsNormConfig:
     min_sigma: float = 1e-8
 
     def __post_init__(self):
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.min_sigma <= 0:
-            raise ValueError("min_sigma must be > 0")
+        # written so that NaN fails too
+        if not (isinstance(self.top_k, numbers.Integral) and self.top_k >= 1):
+            raise ValueError("top_k must be an integer >= 1")
+        if not (self.min_sigma > 0 and math.isfinite(self.min_sigma)):
+            raise ValueError("min_sigma must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,8 @@ class CascadeConfig:
     reject_score: float = DEFAULT_REJECT_SCORE
 
     def __post_init__(self):
+        if math.isnan(self.sd_threshold):
+            raise ValueError("sd_threshold must not be NaN")
         if not np.isfinite(self.reject_score):
             raise ValueError("reject_score must be finite")
 

@@ -9,8 +9,9 @@ Within-batch pairs are enumerated from `np.triu_indices` and gathered by
 index, and the pairwise term normalizes the rows on each call. The
 embedding-row check looks at one row and one component at a time. The
 PK sampler sorts each batch's speakers with a Python key, held-out
-trials are scored one `cosine` call at a time, and the training loop
-counts its steps and epochs by hand.
+trials are drawn from lists of every candidate pair and scored one
+`cosine` call at a time, the training loop counts its steps and epochs
+by hand, and the synthetic population is drawn one speaker at a time.
 """
 
 import math
@@ -198,8 +199,8 @@ def train_toy(dataset, model, tc, pk):
 
 
 def eval_toy(model, dataset, n_trials, seed=0):
-    """Held-out trials drawn as ID-string pairs and scored one `cosine`
-    call per trial."""
+    """Held-out trials drawn from listed ID-string pairs and scored one
+    `cosine` call per trial."""
     rng = np.random.default_rng(seed)
     n_spk = dataset.n_speakers
     per_spk = max(2, math.ceil(2 * n_trials / n_spk))
@@ -214,21 +215,31 @@ def eval_toy(model, dataset, n_trials, seed=0):
     def utt_id(s, u):
         return f"{dataset.speaker_ids[s]}-ho{u:03d}"
 
+    # every candidate pair of each class in index order, indexed by the
+    # same without-replacement draws as the library
+    same = [(s, u1, s, u2) for s in range(n_spk) for u1 in range(per_spk)
+            for u2 in range(per_spk) if u2 != u1]
+    cross = [(s1, u1, s2, u2) for s1 in range(n_spk) for s2 in range(n_spk) if s2 != s1
+             for u1 in range(per_spk) for u2 in range(per_spk)]
     made = {}  # (enroll, test) -> cosine, targets first
-    while len(made) < n_target:
-        s = int(rng.integers(n_spk))
-        u1, u2 = rng.choice(per_spk, size=2, replace=False)
-        key = (utt_id(s, u1), utt_id(s, u2))
-        if key not in made:
-            made[key] = cosine(emb[s, u1], emb[s, u2])
-    while len(made) < n_target + n_nontarget:
-        s1, s2 = rng.choice(n_spk, size=2, replace=False)
-        u1, u2 = int(rng.integers(per_spk)), int(rng.integers(per_spk))
-        key = (utt_id(s1, u1), utt_id(s2, u2))
-        if key not in made:
-            made[key] = cosine(emb[s1, u1], emb[s2, u2])
+    for pool, n in ((same, n_target), (cross, n_nontarget)):
+        for k in rng.choice(len(pool), n, replace=False):
+            s1, u1, s2, u2 = pool[k]
+            made[utt_id(s1, u1), utt_id(s2, u2)] = cosine(emb[s1, u1], emb[s2, u2])
     labels = [LABEL_CODE[TrialLabel.TARGET]] * n_target
     labels += [LABEL_CODE[TrialLabel.NONTARGET]] * n_nontarget
     return ScoreSet.from_columns(
         [e for e, _ in made], [t for _, t in made], labels, list(made.values())
     )
+
+
+def gen_synthetic(n_speakers, utts_per_speaker, d_in, noise, seed=0):
+    """`sampler.gen_synthetic` drawing and normalizing one speaker at a time."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n_speakers, d_in))
+    means = v / np.linalg.norm(v, axis=1, keepdims=True)
+    speakers = {}
+    for i in range(n_speakers):
+        raw = means[i] + noise * rng.standard_normal((utts_per_speaker, d_in))
+        speakers[f"spk{i:03d}"] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    return means, speakers

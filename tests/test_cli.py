@@ -118,6 +118,17 @@ def test_cascade_all_rejected(tmp_path):
     assert all(v == -5.0 for _, v in result)
 
 
+def test_cascade_nan_threshold_exits_2_and_writes_nothing(tmp_path, capsys):
+    sd = tmp_path / "sd.txt"
+    asv = tmp_path / "asv.txt"
+    sd.write_text("e1 t1 0.1\n")
+    asv.write_text("e1 t1 3.0\n")
+    assert main(["cascade", "--sd-scores", str(sd), "--asv-scores", str(asv),
+                 "--threshold", "nan", "--out", str(tmp_path / "out.txt")]) == 2
+    assert "sd_threshold must not be NaN" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["asv.txt", "sd.txt"]
+
+
 def test_full_pipeline_matches_library_composition(tmp_path, capsys):
     emb_file = tmp_path / "emb.txt"
     trial_file = tmp_path / "trials.txt"
@@ -292,6 +303,35 @@ def test_gen_synth_can_draw_every_utterance_pair(tmp_path):
     # without --trials-out the trial count is not used
     assert main(["gen-synth", "--speakers", "2", "--utts", "1", "--n-trials", "5",
                  "--out", str(tmp_path / "e2.txt")]) == 0
+
+
+def test_gen_synth_draws_the_largest_allowed_trial_list(tmp_path):
+    # 20 speakers x 30 utterances: every ordered pair of distinct
+    # utterances, drawn without a rejection loop inside the timeout
+    result = _run_cli(["gen-synth", "--speakers", "20", "--utts", "30", "--n-trials", "359400",
+                       "--out", "e.txt", "--trials-out", "t.txt"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    trials = fileio.parse_trials(tmp_path / "t.txt")
+    assert len({t.key for t in trials}) == 359400
+    assert sum(t.label is TrialLabel.TARGET for t in trials) == 20 * 30 * 29
+
+
+@pytest.mark.parametrize("speakers, utts, n_trials, n_target", [
+    (3, 4, 7, 4), (3, 4, 36, 18), (3, 2, 20, 6), (2, 1, 2, 0),
+])
+def test_gen_synth_label_split(tmp_path, speakers, utts, n_trials, n_target):
+    # ceil(n / 2) targets, or every same-speaker pair when there are fewer
+    assert n_target == min(n_trials - n_trials // 2, speakers * utts * (utts - 1))
+    assert main(["gen-synth", "--speakers", str(speakers), "--utts", str(utts),
+                 "--n-trials", str(n_trials), "--out", str(tmp_path / "e.txt"),
+                 "--trials-out", str(tmp_path / "t.txt")]) == 0
+    trials = fileio.parse_trials(tmp_path / "t.txt")
+    assert len({t.key for t in trials}) == n_trials
+    assert [t.label for t in trials] == (
+        [TrialLabel.TARGET] * n_target + [TrialLabel.NONTARGET] * (n_trials - n_target))
+    assert all((t.enroll_id.split("-")[0] == t.test_id.split("-")[0])
+               == (t.label is TrialLabel.TARGET) for t in trials)
+    assert all(t.enroll_id != t.test_id for t in trials)
 
 
 def test_help_exits_0(capsys):

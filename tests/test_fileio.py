@@ -204,8 +204,43 @@ def test_gate_params_round_trip():
     buf = io.StringIO()
     write_gate_params(weight, bias, buf)
     w2, b2 = parse_gate_params(io.StringIO(buf.getvalue()))
-    assert np.allclose(w2, weight, atol=1e-6)
-    assert np.allclose(b2, bias, atol=1e-6)
+    assert w2.dtype == b2.dtype == np.float64
+    assert np.array_equal(w2, weight) and np.array_equal(b2, bias)
+
+
+def test_gate_params_keep_float64_values_and_zero_rows():
+    buf = io.StringIO()
+    write_gate_params([[0.1, 0.0], [0.0, 0.0]], [1 / 3, 0.0], buf)
+    assert buf.getvalue() == "gate000 0.1 0.0 0.3333333333333333\ngate001 0.0 0.0 0.0\n"
+    weight, bias = parse_gate_params(io.StringIO(buf.getvalue()))
+    assert weight.tolist() == [[0.1, 0.0], [0.0, 0.0]] and bias.tolist() == [1 / 3, 0.0]
+
+
+def test_gate_params_name_field_is_not_checked():
+    weight, bias = parse_gate_params(io.StringIO("# a comment\nx 1 2\nx 3 4\n"))
+    assert weight.tolist() == [[1.0], [3.0]] and bias.tolist() == [2.0, 4.0]
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("g 1 2\ng 1 x\n", "bad number", 2),
+    ("g 1 2\n\ng nan 2\n", "non-finite gate value", 3),
+    ("g 1 2\ng 1 1e999\n", "non-finite gate value", 2),
+    ("g 1 2\ng 1 2 3\n", "dimension 3 after 2", 2),
+    ("# c\ng 1\ng 2\n", "gate file needs rows of D\\+1 values", 2),
+    ("g\n", "gate line needs an ID and values", 1),
+    ("# only a comment\n", "gate file needs rows of D\\+1 values", 1),
+])
+def test_gate_params_errors_are_located(text, message, line):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_gate_params(io.StringIO(text))
+    assert err.value.line == line
+
+
+def test_write_gate_params_rejects_non_finite_values():
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="non-finite gate value"):
+        write_gate_params([[np.inf]], [0.0], buf)
+    assert buf.getvalue() == ""
 
 
 def test_label_fields_are_the_three_labels():

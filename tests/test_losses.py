@@ -70,6 +70,23 @@ def test_loss_batch_validation():
         LossBatch(bad, np.ones((3, 3)), [0, 0])
 
 
+@pytest.mark.parametrize("rows, labels, message", [
+    (np.eye(3), [0, 0, 1, 1], "labels must be a length-B vector"),
+    (np.eye(3), [0, 0], "labels must be a length-B vector"),
+    (np.eye(3), [[0], [0], [1]], "labels must be a length-B vector"),
+    (np.ones(3), [0, 0, 1], "embeddings must be a BxD matrix with B >= 1"),
+    (np.ones((0, 3)), [], "embeddings must be a BxD matrix with B >= 1"),
+    ([[1.0, np.inf], [0.0, 1.0], [1.0, 1.0]], [0, 0, 1], "non-finite values in batch"),
+])
+def test_mine_pairs_and_loss_batch_check_rows_and_labels_alike(rows, labels, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidBatch, match=f"^{message}$"):
+            mine_pairs(rows, labels)
+        with pytest.raises(InvalidBatch, match=f"^{message}$"):
+            LossBatch(rows, np.ones((3, 3)), labels)
+
+
 def test_sphereface_orthogonal_example():
     # target at angle ~0, other class orthogonal: loss ~ exp(-s)
     batch = LossBatch([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [0])

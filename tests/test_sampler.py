@@ -294,3 +294,39 @@ def test_train_toy_samples_no_epoch_past_the_last_step(monkeypatch):
     # 6 batches an epoch: 12 steps use exactly two epochs
     train_toy(ds, model0, TrainConfig(steps=12, learning_rate=0.05), pk)
     assert seeds == [3, 4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 9), st.integers(1, 9),
+       st.floats(0.0, 2.0), st.integers(0, 2**31))
+def test_gen_synthetic_matches_the_per_speaker_reference(n_spk, utts, d_in, noise, seed):
+    ds = gen_synthetic(n_spk, utts, d_in, noise, seed)
+    means, speakers = oracles.gen_synthetic(n_spk, utts, d_in, noise, seed)
+    assert ds.means.dtype == means.dtype and ds.means.tobytes() == means.tobytes()
+    assert ds.speaker_ids == list(speakers)
+    for sid, feats in speakers.items():
+        got = ds.speakers[sid]
+        assert got.dtype == feats.dtype and got.shape == feats.shape
+        assert got.tobytes() == feats.tobytes()
+
+
+@pytest.mark.parametrize("n_spk, per_spk, n_target, n_nontarget", [
+    (3, 1, 0, 5),  # one utterance per speaker: no same-speaker pair exists
+    (1, 4, 7, 0),  # one speaker: no cross-speaker pair exists
+    (1, 1, 0, 0),
+    (2, 2, 4, 8),  # every pair of both classes
+    (4, 3, 24, 108),
+])
+def test_draw_pairs_gives_distinct_pairs_of_each_class(n_spk, per_spk, n_target, n_nontarget):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        enroll, test = sampler_mod._draw_pairs(np.random.default_rng(5), n_spk, per_spk,
+                                               n_target, n_nontarget)
+    n = n_target + n_nontarget
+    assert enroll.shape == test.shape == (n,)
+    assert np.all((0 <= enroll) & (enroll < n_spk * per_spk))
+    assert np.all((0 <= test) & (test < n_spk * per_spk))
+    assert len(set(zip(enroll.tolist(), test.tolist()))) == n
+    same = enroll // per_spk == test // per_spk
+    assert same[:n_target].all() and not same[n_target:].any()
+    assert np.all(enroll[:n_target] != test[:n_target])

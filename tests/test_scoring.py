@@ -257,6 +257,30 @@ def _scoreset(pairs_scores, label=TrialLabel.UNLABELED):
     return s
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"top_k": 2.5}, "top_k must be an integer >= 1"),
+    ({"top_k": 3.0}, "top_k must be an integer >= 1"),
+    ({"top_k": 0}, "top_k must be an integer >= 1"),
+    ({"min_sigma": float("nan")}, "min_sigma must be finite and > 0"),
+    ({"min_sigma": float("inf")}, "min_sigma must be finite and > 0"),
+    ({"min_sigma": 0.0}, "min_sigma must be finite and > 0"),
+])
+def test_as_norm_config_rejects_bad_values(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AsNormConfig(**kwargs)
+
+
+def test_as_norm_config_takes_a_numpy_integer_top_k():
+    assert AsNormConfig(top_k=np.int64(5)).top_k == 5
+
+
+def test_cascade_config_rejects_a_nan_threshold_and_keeps_infinite_ones():
+    with pytest.raises(ValueError, match="sd_threshold must not be NaN"):
+        CascadeConfig(sd_threshold=float("nan"))
+    for threshold in (float("inf"), -float("inf")):
+        assert CascadeConfig(sd_threshold=threshold).sd_threshold == threshold
+
+
 def test_cascade_examples():
     cfg = CascadeConfig(sd_threshold=0.5)
     asv = _scoreset([(("e", "t"), 2.25)])
