@@ -3,10 +3,17 @@
 Text files are UTF-8; bad UTF-8 is a ParseError at its byte offset. The
 tokenizer `_lines` is the one definition of their fields (split on any
 run of whitespace) and comments (a line whose first field starts with
-`#`). The writers separate fields with one space and raise ValueError,
-before the target is opened, for an ID that would not read back as the
-same field: an empty one, one holding whitespace, or a line's first
-field starting with `#`.
+`#`). It reads a file in blocks that end at a newline, so the memory a
+parse needs besides its result does not grow with the file size; an
+error found after the read (a repeated ID or trial, a non-finite or zero
+row) takes its line number from the record's line that the parser kept.
+The enroll and test IDs of trial and score files are interned, so each
+distinct ID is one string however many lines and files repeat it.
+
+The writers separate fields with one space and raise ValueError, before
+the target is opened, for an ID that would not read back as the same
+field: an empty one, one holding whitespace, or a line's first field
+starting with `#`.
 
 Text embedding file: one `<id> <v1> ... <vD>` line per utterance.
 Values are written as shortest round-trip decimals of the 32-bit stored
@@ -33,8 +40,9 @@ and written as float64.
 """
 
 import struct
+import sys
 import zlib
-from itertools import islice
+from array import array
 
 import numpy as np
 
@@ -42,19 +50,12 @@ from .core import LABEL_CODE, LABELS, TOKEN_CODE, EmbeddingSet, ScoreSet, Trial,
 from .errors import DimensionDrift, DuplicateId, DuplicateTrial, ParseError
 
 MAGIC = b"SASVEMB1"
+_BLOCK = 1 << 16  # bytes (or characters) a text reader reads at a time
 
 _UNLABELED = LABEL_CODE[TrialLabel.UNLABELED]
 # a label code's optional last field, as the writers append it
 _LABEL_SUFFIX = tuple("" if code == _UNLABELED else " " + label.value
                       for code, label in enumerate(LABELS))
-
-
-def _read(path_or_stream):
-    """The content of a path (bytes) or of a stream (what it reads)."""
-    if hasattr(path_or_stream, "read"):
-        return path_or_stream.read()
-    with open(path_or_stream, "rb") as fh:
-        return fh.read()
 
 
 def _write_all(data, path_or_stream):
@@ -66,24 +67,52 @@ def _write_all(data, path_or_stream):
             fh.write(data)
 
 
-def _lines(data):
-    """(line number, fields) of each line of the text `data` (str or
-    UTF-8 bytes) that is neither blank nor a comment: the one definition
-    of the text grammar's fields and comments."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"bad UTF-8 text: {e.reason}", offset=e.start) from None
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        fields = line.split()
-        if fields and fields[0][0] != "#":
-            yield lineno, fields
+def _blocks(stream, head):
+    """The text of `stream` (str or bytes), after the already read
+    `head`, in pieces that each end at a newline but for the last. Each
+    read is searched once and joined once, so a line longer than a
+    block costs time in proportion to its length."""
+    pending = [head] if head else []  # what is read of a line not yet ended
+    while chunk := stream.read(_BLOCK):
+        cut = chunk.rfind(b"\n" if isinstance(chunk, bytes) else "\n") + 1
+        if cut:
+            yield chunk[:0].join([*pending, chunk[:cut]])
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    if pending:
+        yield pending[0][:0].join(pending)
 
 
-def _line_of(data, row):
-    """The line number of the `row`-th record of the text `data`."""
-    return next(islice(_lines(data), row, None))[0]
+def _lines(path_or_stream, head=None):
+    """(line number, fields) of each line of a text path or stream (str
+    or UTF-8 bytes; `head` is what was already read of the stream) that
+    is neither blank nor a comment: the one definition of the text
+    grammar's fields and comments.
+
+    The text is read and decoded in blocks that end at a newline, so a
+    CR LF pair never straddles two blocks and `splitlines` on each block
+    gives the lines of the whole text. A path's file is closed when the
+    lines end or the generator is dropped, as it is when a parser that
+    iterates it in its `for` statement raises."""
+    if not hasattr(path_or_stream, "read"):
+        with open(path_or_stream, "rb") as fh:
+            yield from _lines(fh)
+        return
+    lineno = offset = 0
+    for block in _blocks(path_or_stream, head):
+        if isinstance(block, bytes):
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ParseError(f"bad UTF-8 text: {e.reason}", offset=offset + e.start) from None
+            offset += len(block)
+        else:
+            text = block
+        for lineno, line in enumerate(text.splitlines(), start=lineno + 1):
+            fields = line.split()
+            if fields and fields[0][0] != "#":
+                yield lineno, fields
 
 
 def _label_code(fields, n, lineno):
@@ -116,11 +145,12 @@ def _check_ids(ids, first):
 # ---------------------------------------------------------------- embeddings
 
 
-def _value_rows(data, dtype, what):
-    """(first fields, rows) of the text `data`: each line's first field
-    and its other fields as a `dtype` vector, all of one length."""
-    ids, rows = [], []
-    for lineno, fields in _lines(data):
+def _value_rows(path_or_stream, dtype, what, head=None):
+    """(first fields, rows, line numbers) of a text path or stream (see
+    `_lines`): each line's first field, its other fields as a `dtype`
+    vector, all of one length, and its line number."""
+    ids, rows, linenos = [], [], array("q")
+    for lineno, fields in _lines(path_or_stream, head):
         if len(fields) < 2:
             raise ParseError(f"{what} line needs an ID and values", line=lineno)
         try:
@@ -133,17 +163,18 @@ def _value_rows(data, dtype, what):
             )
         ids.append(fields[0])
         rows.append(values)
-    return ids, rows
+        linenos.append(lineno)
+    return ids, rows, linenos
 
 
-def _parse_embeddings_text(data):
-    ids, rows = _value_rows(data, np.float32, "embedding")
+def _parse_embeddings_text(stream, head):
+    ids, rows, linenos = _value_rows(stream, np.float32, "embedding", head)
     try:
         return EmbeddingSet.from_matrix(ids, np.stack(rows) if rows else np.empty((0, 0)))
     except DuplicateId as e:
-        raise DuplicateId(f"duplicate ID {ids[e.row]!r} (line {_line_of(data, e.row)})") from None
+        raise DuplicateId(f"duplicate ID {ids[e.row]!r} (line {linenos[e.row]})") from None
     except ValueError as e:
-        raise ParseError(str(e), line=_line_of(data, e.row)) from None
+        raise ParseError(str(e), line=linenos[e.row]) from None
 
 
 def _parse_embeddings_binary(data):
@@ -188,12 +219,15 @@ def parse_embeddings(path_or_stream, format="auto"):
     """Load an EmbeddingSet; `format` is auto (by the magic bytes), text or binary."""
     if format not in ("auto", "text", "binary"):
         raise ValueError(f"unknown format {format!r}")
-    data = _read(path_or_stream)
-    if isinstance(data, str) and format != "text":
-        data = data.encode("utf-8")
-    if format == "binary" or format == "auto" and data[:8] == MAGIC:
-        return _parse_embeddings_binary(data)
-    return _parse_embeddings_text(data)
+    if not hasattr(path_or_stream, "read"):
+        with open(path_or_stream, "rb") as fh:
+            return parse_embeddings(fh, format)
+    head = None if format == "text" else path_or_stream.read(len(MAGIC))
+    if format == "binary" or head in (MAGIC, MAGIC.decode()):
+        # the whole body, for its checksum
+        data = head + path_or_stream.read()
+        return _parse_embeddings_binary(data.encode("utf-8") if isinstance(data, str) else data)
+    return _parse_embeddings_text(path_or_stream, head)
 
 
 def write_embeddings_text(embset, path_or_stream):
@@ -222,9 +256,9 @@ def write_embeddings_binary(embset, path_or_stream):
 
 def parse_trials(path_or_stream):
     trials = []
-    for lineno, fields in _lines(_read(path_or_stream)):
+    for lineno, fields in _lines(path_or_stream):
         label = LABELS[_label_code(fields, 2, lineno)]
-        trials.append(Trial(fields[0], fields[1], label))
+        trials.append(Trial(sys.intern(fields[0]), sys.intern(fields[1]), label))
     return trials
 
 
@@ -238,22 +272,22 @@ def write_trials(trials, path_or_stream):
 
 
 def parse_scores(path_or_stream):
-    data = _read(path_or_stream)
-    enroll, test, labels, scores = [], [], [], []
-    for lineno, fields in _lines(data):
+    enroll, test, labels, scores, linenos = [], [], array("b"), array("d"), array("q")
+    for lineno, fields in _lines(path_or_stream):
         labels.append(_label_code(fields, 3, lineno))
         try:
             scores.append(float(fields[2]))
         except ValueError:
             raise ParseError(f"bad score {fields[2]!r}", line=lineno) from None
-        enroll.append(fields[0])
-        test.append(fields[1])
+        enroll.append(sys.intern(fields[0]))
+        test.append(sys.intern(fields[1]))
+        linenos.append(lineno)
     try:
         return ScoreSet.from_columns(enroll, test, labels, scores)
     except DuplicateTrial as e:
-        raise DuplicateTrial(f"{e} (line {_line_of(data, e.row)})") from None
+        raise DuplicateTrial(f"{e} (line {linenos[e.row]})") from None
     except ValueError as e:
-        raise ParseError(str(e), line=_line_of(data, e.row)) from None
+        raise ParseError(str(e), line=linenos[e.row]) from None
 
 
 def write_scores(scores, path_or_stream):
@@ -274,15 +308,13 @@ def parse_gate_params(path_or_stream):
     excluded). The name is not checked. Returns (weight, bias) float64
     arrays.
     """
-    data = _read(path_or_stream)
-    _, rows = _value_rows(data, np.float64, "gate")
+    _, rows, linenos = _value_rows(path_or_stream, np.float64, "gate")
     if not rows or rows[0].shape[0] < 2:
-        raise ParseError("gate file needs rows of D+1 values",
-                         line=_line_of(data, 0) if rows else 1)
+        raise ParseError("gate file needs rows of D+1 values", line=linenos[0] if rows else 1)
     mat = np.stack(rows)
     finite = np.isfinite(mat).all(axis=1)
     if not finite.all():
-        raise ParseError("non-finite gate value", line=_line_of(data, int(np.argmin(finite))))
+        raise ParseError("non-finite gate value", line=linenos[int(np.argmin(finite))])
     return mat[:, :-1], mat[:, -1]
 
 

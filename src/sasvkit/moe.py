@@ -8,6 +8,7 @@ replaces the renormalized weights with 1.0, i.e. a plain sum of the
 selected layers.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,8 @@ class GateParams:
             raise DimensionMismatch("gate weight must be a matrix")
         if self.bias.shape != (self.weight.shape[0],):
             raise DimensionMismatch("gate bias length must match weight rows")
-        if self.top_k < 1:
-            raise BadK("top_k must be >= 1")
+        if not (isinstance(self.top_k, numbers.Integral) and self.top_k >= 1):
+            raise BadK("top_k must be an integer >= 1")
 
     @classmethod
     def random(cls, n_candidates, dim, top_k=DEFAULT_TOP_K, seed=0, scale=1.0):

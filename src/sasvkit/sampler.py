@@ -150,10 +150,10 @@ class TrainConfig:
 
 def gen_synthetic(n_speakers, utts_per_speaker, d_in, noise, seed=0):
     """Clustered unit-vector features for a synthetic speaker population."""
-    if n_speakers < 2 or utts_per_speaker < 1 or d_in < 1 or noise < 0:
-        raise BadParams(
-            "need n_speakers >= 2, utts_per_speaker >= 1, d_in >= 1, noise >= 0"
-        )
+    if n_speakers < 2 or utts_per_speaker < 1 or d_in < 1:
+        raise BadParams("need n_speakers >= 2, utts_per_speaker >= 1, d_in >= 1")
+    if not (noise >= 0 and math.isfinite(noise)):
+        raise BadParams(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_speakers, d_in))
     means /= np.linalg.norm(means, axis=1, keepdims=True)

@@ -125,8 +125,8 @@ def _top_k_blocks(probes, probe_norms, cohort, top_k):
     descending."""
     if len(cohort) == 0:
         raise EmptyCohort("cohort set is empty")
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
+    if not (isinstance(top_k, numbers.Integral) and top_k >= 1):
+        raise ValueError("top_k must be an integer >= 1")
     if cohort.dim != probes.shape[1]:
         raise DimensionMismatch(
             f"probe dimension {probes.shape[1]} vs cohort dimension {cohort.dim}"

@@ -293,6 +293,14 @@ def test_gen_synth_rejects_more_trials_than_utterance_pairs(tmp_path, n_trials):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+def test_gen_synth_names_a_bad_noise(tmp_path, noise):
+    result = _run_cli(["gen-synth", "--noise", noise, "--out", "e.txt"], tmp_path)
+    assert result.returncode == 2 and "Traceback" not in result.stderr
+    assert "noise must be finite and >= 0" in result.stderr and "Warning" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_synth_can_draw_every_utterance_pair(tmp_path):
     result = _run_cli(["gen-synth", "--speakers", "2", "--utts", "2", "--n-trials", "12",
                        "--out", "e.txt", "--trials-out", "t.txt"], tmp_path)

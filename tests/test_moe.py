@@ -49,6 +49,16 @@ def test_top_k_mask_examples():
         top_k_mask([0.5, 0.5], 0)
 
 
+@pytest.mark.parametrize("top_k", [0, -1, 2.5, 3.0, float("nan"), "3"])
+def test_gate_params_require_an_integer_top_k_of_at_least_1(top_k):
+    with pytest.raises(BadK, match="^top_k must be an integer >= 1$"):
+        GateParams(np.ones((3, 2)), np.zeros(3), top_k=top_k)
+
+
+def test_gate_params_take_a_numpy_integer_top_k():
+    assert GateParams(np.ones((3, 2)), np.zeros(3), top_k=np.int64(2)).top_k == 2
+
+
 def test_fuse_degenerate_stack():
     stack = LayerStack([[1.0, 2.0], [3.0, 4.0]])
     params = GateParams(weight=np.zeros((1, 2)), bias=np.zeros(1), top_k=1)

@@ -55,6 +55,12 @@ def test_gen_synthetic_bad_params():
         gen_synthetic(3, 0, 8, 0.1)
 
 
+@pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf])
+def test_gen_synthetic_requires_a_finite_non_negative_noise(noise):
+    with pytest.raises(BadParams, match="^noise must be finite and >= 0"):
+        gen_synthetic(3, 4, 8, noise)
+
+
 @pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf, -np.inf])
 def test_train_config_rejects_bad_learning_rate(lr):
     with pytest.raises(BadParams):

@@ -74,6 +74,9 @@ def test_top_k_selection_and_saturation():
     assert len(top_k_cohort_scores(probe, cohort, 10)) == 3
     with pytest.raises(EmptyCohort):
         top_k_cohort_scores(probe, EmbeddingSet(), 2)
+    for k in (0, 2.5, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="^top_k must be an integer >= 1$"):
+            top_k_cohort_scores(probe, cohort, k)
 
 
 def test_top_k_matches_sort_oracle():
