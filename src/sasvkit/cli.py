@@ -15,12 +15,13 @@ import dataclasses
 import json
 import math
 import sys
+from itertools import islice
 
 import numpy as np
 
 from . import fileio, metrics, moe, sampler, scoring
 from .core import EmbeddingSet, Trial, TrialLabel
-from .errors import BadParams, DivergenceDetected, SasvError
+from .errors import BadParams, DivergenceDetected, DuplicateTrial, SasvError
 from .losses import (
     CircleConfig,
     LossBatch,
@@ -143,7 +144,12 @@ def _cmd_score(args):
     embeddings = fileio.parse_embeddings(args.embeddings)
     cohort = fileio.parse_embeddings(args.cohort) if args.cohort else None
     cfg = scoring.AsNormConfig(top_k=args.top_k)
-    result = scoring.score_trials(trials, embeddings, cohort, cfg)
+    try:
+        result = scoring.score_trials(trials, embeddings, cohort, cfg)
+    except DuplicateTrial as e:
+        # the trial file's records are read again for the row's line
+        lineno, _ = next(islice(fileio._lines(args.trials), e.row, None))
+        raise DuplicateTrial(f"{e} (line {lineno})") from None
     fileio.write_scores(result, args.out)
     return EXIT_OK
 
@@ -208,8 +214,7 @@ def _cmd_moe_demo(args):
     stack = moe.LayerStack(layers.matrix())
     weight, bias = fileio.parse_gate_params(args.gate)
     params = moe.GateParams(weight=weight, bias=bias, top_k=args.top_k)
-    probs, weights = moe._gate(stack, params, unweighted=args.unweighted)
-    fused = moe.fuse(stack, params, unweighted=args.unweighted)
+    probs, weights, fused = moe._fuse(stack, params, unweighted=args.unweighted)
     print("gate_probs=" + " ".join(f"{p:.6f}" for p in probs))
     print("selected=" + " ".join(str(i) for i in np.flatnonzero(weights)))
     print("weights=" + " ".join(f"{w:.6f}" for w in weights[weights > 0]))

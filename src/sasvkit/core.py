@@ -1,6 +1,8 @@
 """Domain types shared by every module: embeddings, trials, labels, scores.
 
 Embedding values, trials and scores are immutable after construction.
+A Trial is a validated named tuple (enroll_id, test_id, label): its IDs
+are checked to be non-empty, and it equals the plain tuple of its fields.
 Scores are kept as 64-bit floats everywhere; embedding storage is 32-bit
 (matching the on-disk binary format) and is promoted to 64-bit inside
 numerical routines.
@@ -23,6 +25,7 @@ array; `append` builds new columns rather than changing shared ones.
 dict lookup per key, after which combining scores is array arithmetic.
 """
 
+from collections import namedtuple
 from enum import Enum
 from itertools import groupby
 
@@ -71,7 +74,8 @@ class Embedding:
     __slots__ = ("id", "values")
 
     def __init__(self, id, values):
-        values = np.asarray(values, dtype=np.float32)
+        with np.errstate(over="ignore"):  # beyond float32's range is inf: non-finite
+            values = np.asarray(values, dtype=np.float32)
         # a vector that is not 1-D fails as a row of D = 0 does
         _check_rows([id], values[None, :] if values.ndim == 1 else np.empty((1, 0)))
         self.id = id
@@ -149,7 +153,8 @@ class EmbeddingSet:
         self._append([emb.id], emb.values[None, :])
 
     def _append(self, ids, matrix):
-        matrix = np.asarray(matrix, dtype=np.float32)
+        with np.errstate(over="ignore"):  # beyond float32's range is inf: non-finite
+            matrix = np.asarray(matrix, dtype=np.float32)
         if matrix.ndim != 2 or matrix.shape[0] != len(ids):
             raise ValueError("expected an N x D matrix for N IDs")
         if self.dim is not None and matrix.shape[1] != self.dim:
@@ -186,31 +191,19 @@ class EmbeddingSet:
         return self._matrix
 
 
-class Trial:
-    """One verification attempt: (enrollment ID, test ID, label)."""
+class Trial(namedtuple("Trial", "enroll_id test_id label")):
+    """One verification attempt, a named tuple with non-empty IDs."""
 
-    __slots__ = ("enroll_id", "test_id", "label")
+    __slots__ = ()
 
-    def __init__(self, enroll_id, test_id, label=TrialLabel.UNLABELED):
+    def __new__(cls, enroll_id, test_id, label=TrialLabel.UNLABELED):
         if not enroll_id or not test_id:
             raise ValueError("trial IDs must be non-empty")
-        self.enroll_id = enroll_id
-        self.test_id = test_id
-        self.label = label
+        return super().__new__(cls, enroll_id, test_id, label)
 
     @property
     def key(self):
         return (self.enroll_id, self.test_id)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Trial)
-            and self.key == other.key
-            and self.label == other.label
-        )
-
-    def __hash__(self):
-        return hash((self.key, self.label))
 
     def __repr__(self):
         return f"Trial({self.enroll_id!r}, {self.test_id!r}, {self.label.value})"
@@ -229,17 +222,13 @@ class ScoreSet:
     """Ordered (trial, score) records with unique (enroll, test) pairs.
 
     Stored as columns (see the module docstring); iteration builds each
-    record's Trial on the fly.
+    record's Trial on the fly from IDs that `from_columns` has checked.
     """
 
     def __init__(self, records=()):
-        records = list(records)
-        self._set_columns(
-            [t.enroll_id for t, _ in records],
-            [t.test_id for t, _ in records],
-            [LABEL_CODE[t.label] for t, _ in records],
-            [s for _, s in records],
-        )
+        trials, scores = tuple(zip(*records)) or ((), ())
+        enroll, test, labels = tuple(zip(*trials)) or ((), (), ())
+        self._set_columns(enroll, test, list(map(LABEL_CODE.__getitem__, labels)), scores)
 
     @classmethod
     def from_columns(cls, enroll, test, labels, scores):
@@ -330,9 +319,8 @@ class ScoreSet:
         return len(self._enroll)
 
     def __iter__(self):
-        labels, scores = self._labels.tolist(), self._scores.tolist()
-        for e, t, code, s in zip(self._enroll, self._test, labels, scores):
-            yield Trial(e, t, LABELS[code]), s
+        labels = map(LABELS.__getitem__, self._labels.tolist())
+        return zip(map(Trial._make, zip(self._enroll, self._test, labels)), self._scores.tolist())
 
     def __contains__(self, key):
         return key in self._index

@@ -145,32 +145,31 @@ def _check_ids(ids, first):
 # ---------------------------------------------------------------- embeddings
 
 
-def _value_rows(path_or_stream, dtype, what, head=None):
-    """(first fields, rows, line numbers) of a text path or stream (see
-    `_lines`): each line's first field, its other fields as a `dtype`
-    vector, all of one length, and its line number."""
-    ids, rows, linenos = [], [], array("q")
+def _value_rows(path_or_stream, typecode, what, head=None):
+    """(first fields, matrix, line numbers) of a text path or stream (see
+    `_lines`): each line's first field, its other fields as a row of one
+    N x D matrix in an `array` of `typecode`, and its line number."""
+    ids, values, linenos, dim = [], array(typecode), array("q"), 0
     for lineno, fields in _lines(path_or_stream, head):
         if len(fields) < 2:
             raise ParseError(f"{what} line needs an ID and values", line=lineno)
         try:
-            values = np.array([float(v) for v in fields[1:]], dtype=dtype)
+            row = [float(v) for v in fields[1:]]
         except ValueError as e:
             raise ParseError(f"bad number: {e}", line=lineno) from None
-        if rows and values.shape[0] != rows[0].shape[0]:
-            raise DimensionDrift(
-                f"dimension {values.shape[0]} after {rows[0].shape[0]}", line=lineno
-            )
+        if ids and len(row) != dim:
+            raise DimensionDrift(f"dimension {len(row)} after {dim}", line=lineno)
         ids.append(fields[0])
-        rows.append(values)
+        values.fromlist(row)
         linenos.append(lineno)
-    return ids, rows, linenos
+        dim = len(row)
+    return ids, np.frombuffer(values, dtype=typecode).reshape(len(ids), dim), linenos
 
 
 def _parse_embeddings_text(stream, head):
-    ids, rows, linenos = _value_rows(stream, np.float32, "embedding", head)
+    ids, matrix, linenos = _value_rows(stream, "f", "embedding", head)
     try:
-        return EmbeddingSet.from_matrix(ids, np.stack(rows) if rows else np.empty((0, 0)))
+        return EmbeddingSet.from_matrix(ids, matrix)
     except DuplicateId as e:
         raise DuplicateId(f"duplicate ID {ids[e.row]!r} (line {linenos[e.row]})") from None
     except ValueError as e:
@@ -255,20 +254,21 @@ def write_embeddings_binary(embset, path_or_stream):
 
 
 def parse_trials(path_or_stream):
-    trials = []
+    enroll, test, labels = [], [], []
     for lineno, fields in _lines(path_or_stream):
-        label = LABELS[_label_code(fields, 2, lineno)]
-        trials.append(Trial(sys.intern(fields[0]), sys.intern(fields[1]), label))
-    return trials
+        labels.append(LABELS[_label_code(fields, 2, lineno)])
+        enroll.append(sys.intern(fields[0]))
+        test.append(sys.intern(fields[1]))
+    # a split field is never empty, so the Trial check is skipped
+    return list(map(Trial._make, zip(enroll, test, labels)))
 
 
 def write_trials(trials, path_or_stream):
-    trials = list(trials)
-    enroll, test = [t.enroll_id for t in trials], [t.test_id for t in trials]
+    enroll, test, labels = tuple(zip(*trials)) or ((), (), ())
     _check_ids(enroll, first=True)
     _check_ids(test, first=False)
-    _write_all("".join([f"{e} {t}{_LABEL_SUFFIX[LABEL_CODE[trial.label]]}\n"
-                        for e, t, trial in zip(enroll, test, trials)]), path_or_stream)
+    _write_all("".join([f"{e} {t}{_LABEL_SUFFIX[LABEL_CODE[label]]}\n"
+                        for e, t, label in zip(enroll, test, labels)]), path_or_stream)
 
 
 def parse_scores(path_or_stream):
@@ -308,10 +308,9 @@ def parse_gate_params(path_or_stream):
     excluded). The name is not checked. Returns (weight, bias) float64
     arrays.
     """
-    _, rows, linenos = _value_rows(path_or_stream, np.float64, "gate")
-    if not rows or rows[0].shape[0] < 2:
-        raise ParseError("gate file needs rows of D+1 values", line=linenos[0] if rows else 1)
-    mat = np.stack(rows)
+    _, mat, linenos = _value_rows(path_or_stream, "d", "gate")
+    if mat.shape[1] < 2:
+        raise ParseError("gate file needs rows of D+1 values", line=linenos[0] if linenos else 1)
     finite = np.isfinite(mat).all(axis=1)
     if not finite.all():
         raise ParseError("non-finite gate value", line=linenos[int(np.argmin(finite))])

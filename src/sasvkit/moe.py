@@ -99,9 +99,10 @@ def top_k_mask(probs, k):
     return out
 
 
-def _gate(stack, params, unweighted=False):
-    """(gate probabilities, weights of the L-1 non-final layers) of `fuse`:
-    min(top_k, L-1) layers keep their renormalized probability, or 1.0."""
+def _fuse(stack, params, unweighted=False):
+    """(gate probabilities, weights of the L-1 non-final layers, fused
+    vector) of `fuse`: min(top_k, L-1) layers keep their renormalized
+    probability, or 1.0."""
     if params.weight.shape[0] != stack.n_layers - 1:
         raise DimensionMismatch(
             f"gate has {params.weight.shape[0]} outputs for "
@@ -109,7 +110,8 @@ def _gate(stack, params, unweighted=False):
         )
     probs = gate_probs(stack.final, params)
     mask = top_k_mask(probs, min(params.top_k, stack.n_layers - 1))
-    return probs, (mask > 0).astype(np.float64) if unweighted else mask
+    weights = (mask > 0).astype(np.float64) if unweighted else mask
+    return probs, weights, stack.final + weights @ stack.layers[:-1]
 
 
 def fuse(stack, params, unweighted=False):
@@ -119,5 +121,4 @@ def fuse(stack, params, unweighted=False):
     layers, with w the renormalized gate probabilities (or 1.0 each when
     unweighted).
     """
-    _, weights = _gate(stack, params, unweighted)
-    return stack.final + weights @ stack.layers[:-1]
+    return _fuse(stack, params, unweighted)[2]

@@ -176,14 +176,12 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
     All IDs are checked before any scoring; MissingEmbedding names the
     first missing one in trial order.
     """
-    trials = list(trials)
-    enroll_ids = [t.enroll_id for t in trials]
-    test_ids = [t.test_id for t in trials]
+    enroll_ids, test_ids, labels = tuple(zip(*trials)) or ((), (), ())
     try:
         rows = embeddings.rows(chain.from_iterable(zip(enroll_ids, test_ids)))
     except KeyError as e:
         raise MissingEmbedding(f"no embedding for ID {e.args[0]!r}") from None
-    if not trials:
+    if not enroll_ids:
         return ScoreSet()
     mat = embeddings.matrix()
     norms = np.linalg.norm(mat.astype(np.float64), axis=1)
@@ -197,8 +195,8 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
         np.maximum(sigma, cfg.min_sigma, out=sigma)
         ie, it = inverse[0::2], inverse[1::2]
         scores = 0.5 * ((scores - mu[ie]) / sigma[ie] + (scores - mu[it]) / sigma[it])
-    labels = [LABEL_CODE[t.label] for t in trials]
-    return ScoreSet.from_columns(enroll_ids, test_ids, labels, scores)
+    codes = list(map(LABEL_CODE.__getitem__, labels))
+    return ScoreSet.from_columns(enroll_ids, test_ids, codes, scores)
 
 
 def _pair_cosines(mat, norms, enroll, test):

@@ -2,12 +2,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import sasvkit
-from sasvkit import cli, fileio, losses, metrics, sampler, scoring
+from sasvkit import cli, fileio, losses, metrics, moe, sampler, scoring
 from sasvkit.cli import main
 from sasvkit.core import Embedding, EmbeddingSet, ScoreSet, Trial, TrialLabel
 from sasvkit.moe import GateParams
@@ -102,6 +103,15 @@ def test_duplicate_score_line_is_located(tmp_path, capsys):
     scores.write_text("e t 0.5 target\ne t 0.7 target\n")
     assert main(["eval", "--scores", str(scores)]) == 2
     assert "duplicate trial ('e', 't') (line 2)" in capsys.readouterr().err
+
+
+def test_duplicate_trial_line_is_located(tmp_path, capsys):
+    trials, emb = tmp_path / "trials.txt", tmp_path / "emb.txt"
+    trials.write_text("e t\ne2 t\n# c\n\ne t target\n")
+    emb.write_text("e 1 0\ne2 1 1\nt 0 1\n")
+    assert main(["score", "--trials", str(trials), "--embeddings", str(emb),
+                 "--out", str(tmp_path / "out.txt")]) == 2
+    assert capsys.readouterr().err == "sasvkit: duplicate trial ('e', 't') (line 5)\n"
 
 
 def test_cascade_all_rejected(tmp_path):
@@ -202,10 +212,12 @@ def test_moe_demo(tmp_path, capsys):
     fileio.write_embeddings_text(embs, str(layers_file))
     params = GateParams.random(4, 6, seed=2)
     fileio.write_gate_params(params.weight, params.bias, str(gate_file))
-    assert main(
-        ["moe-demo", "--layers", str(layers_file), "--gate", str(gate_file),
-         "--top-k", "2"]
-    ) == 0
+    with mock.patch.object(moe, "gate_probs", wraps=moe.gate_probs) as gate:
+        assert main(
+            ["moe-demo", "--layers", str(layers_file), "--gate", str(gate_file),
+             "--top-k", "2"]
+        ) == 0
+    assert gate.call_count == 1
     out = capsys.readouterr().out
     assert "fused=" in out
     assert len(out.split("selected=")[1].splitlines()[0].split()) == 2

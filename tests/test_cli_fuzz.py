@@ -28,8 +28,8 @@ _VALID = {
     "layers": (b"l0 1 0\nl1 0 1\nl2 0.6 0.8\n",),
     "gate": (b"g0 1 0 0\ng1 0 1 0.5\n",),
 }
-_TOKENS = [b"#", b"\t", b"\r", b"\n", b" ", b"nan", b"1e400", b"-inf", b"0.5", b"-1", b"0",
-           b"target", b"nontarget", b"spoof", b"unlabeled", b"SASVEMB1", b"e1", b"t1",
+_TOKENS = [b"#", b"\t", b"\r", b"\n", b" ", b"nan", b"1e400", b"1e39", b"-inf", b"0.5", b"-1",
+           b"0", b"target", b"nontarget", b"spoof", b"unlabeled", b"SASVEMB1", b"e1", b"t1",
            b"\xff", b"{", b"}", b'"c_miss"', b":", b","]
 # one command line per data command; {kind} and {kind2} are file slots
 _COMMANDS = [

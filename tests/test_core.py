@@ -42,6 +42,15 @@ def test_embedding_rejects_nan_fuzz():
         Embedding("x", [1.0, np.inf])
 
 
+def test_a_value_beyond_float32_is_non_finite_without_a_warning():
+    # a RuntimeWarning fails the suite, so this also checks none leaks
+    with pytest.raises(ValueError, match="'x' has non-finite components"):
+        Embedding("x", [1e39, 1.0])
+    with pytest.raises(ValueError, match="'b' has non-finite components") as info:
+        EmbeddingSet.from_matrix(["a", "b"], np.array([[1.0, 1.0], [1.0, -1e39]]))
+    assert info.value.row == 1
+
+
 def test_embedding_values_immutable():
     e = Embedding("a", [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -84,6 +93,15 @@ def test_trial_requires_ids():
 def test_self_trials_allowed():
     t = Trial("u1", "u1", TrialLabel.TARGET)
     assert t.key == ("u1", "u1")
+
+
+def test_trial_is_a_named_tuple_of_its_fields():
+    t = Trial("e", "t")
+    assert t == ("e", "t", TrialLabel.UNLABELED) and hash(t) == hash(tuple(t))
+    assert t.label is TrialLabel.UNLABELED and repr(t) == "Trial('e', 't', unlabeled)"
+    assert type(t._replace(label=TrialLabel.SPOOF)) is Trial
+    with pytest.raises(AttributeError):
+        t.enroll_id = "x"
 
 
 def test_score_set_rejects_duplicates_and_nonfinite():

@@ -159,7 +159,8 @@ def test_trials_round_trip():
     ]
     buf = io.StringIO()
     write_trials(trials, buf)
-    assert parse_trials(io.StringIO(buf.getvalue())) == trials
+    parsed = parse_trials(io.StringIO(buf.getvalue()))
+    assert parsed == trials and all(type(t) is Trial for t in parsed)
 
 
 def test_scores_round_trip_identity():
@@ -177,6 +178,7 @@ def test_scores_round_trip_identity():
     assert parsed.keys() == s.keys()
     assert np.array_equal(parsed.scores(), s.scores())
     assert [t.label for t, _ in parsed] == [t.label for t, _ in s]
+    assert all(type(t) is Trial and type(v) is float for t, v in parsed)
 
 
 def test_parse_scores_errors():

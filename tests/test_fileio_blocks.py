@@ -117,6 +117,7 @@ def test_a_line_longer_than_many_blocks_is_read_in_linear_time():
     (parse_embeddings, "# h\na 1 2\n\nb 3 4\na 5 6\n", DuplicateId, r"'a' \(line 5\)$"),
     (parse_embeddings, "a 1 2\n\n# h\nb 0 0\n", ParseError, r"zero vector \(line 4\)$"),
     (parse_embeddings, "a 1 2\n#\nb nan 0\n", ParseError, r"non-finite .* \(line 3\)$"),
+    (parse_embeddings, "a 1 2\n\nb 1e39 1\n", ParseError, r"'b' has non-finite .* \(line 3\)$"),
     (parse_embeddings, "a 1 2\n\nb 1 2 3\n", DimensionDrift, r"\(line 3\)$"),
     (parse_scores, "e t 1\n# h\n\ne2 t 2\ne t 3\n", DuplicateTrial, r"\(line 5\)$"),
     (parse_scores, "e t 1\n\n# h\ne2 t inf target\n", ParseError, r"non-finite .* \(line 4\)$"),

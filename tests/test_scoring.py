@@ -17,7 +17,7 @@ from sasvkit.errors import (
     UnlabeledTrial,
     ZeroNorm,
 )
-from sasvkit.fileio import parse_scores, write_scores
+from sasvkit.fileio import parse_scores, write_scores, write_trials
 from sasvkit.scoring import (
     AsNormConfig,
     CascadeConfig,
@@ -144,6 +144,25 @@ def test_score_trials_raw_cosine():
     embs = EmbeddingSet([Embedding("e1", [1, 2, 2]), Embedding("t1", [2, 1, 2])])
     out = score_trials([Trial("e1", "t1")], embs)
     assert abs(out.score_of(("e1", "t1")) - 8 / 9) < 1e-6
+
+
+@pytest.mark.parametrize("trials", [
+    [],
+    [Trial("u0", "u1", TrialLabel.TARGET), Trial("u1", "u2"), Trial("u2", "u0", TrialLabel.SPOOF)],
+], ids=["empty", "three"])
+def test_trial_rows_from_a_list_or_a_one_shot_generator_agree(trials):
+    embs = _embset([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]], prefix="u")
+    results = []
+    for rows in (lambda: trials, lambda: (t for t in trials)):
+        scored = score_trials(rows(), embs)
+        buf = io.StringIO()
+        write_trials(rows(), buf)
+        built = ScoreSet((t, 0.5) for t in rows())
+        results.append((list(scored), buf.getvalue(), list(built)))
+    assert results[0] == results[1]
+    scored, text, built = results[0]
+    assert [t for t, _ in scored] == [t for t, _ in built] == trials
+    assert text.count("\n") == len(trials)
 
 
 def test_score_trials_asnorm_matches_manual_composition():
