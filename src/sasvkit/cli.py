@@ -46,11 +46,8 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; this tool reserves 2 for data errors
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_code_usage(message))
-
-    def exit_code_usage(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
 def _fmt(value):
@@ -69,8 +66,14 @@ def _top_k(text):
 def _build_parser():
     top = _Parser(prog="sasvkit", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
+    # the synthetic population of gen-synth and train-toy
+    population = argparse.ArgumentParser(add_help=False)
+    population.add_argument("--speakers", type=int, default=20)
+    population.add_argument("--utts", type=int, default=30)
+    population.add_argument("--dim", type=int, default=32)
+    population.add_argument("--noise", type=float, default=0.15)
 
-    p = sub.add_parser("score", parents=[], help="cosine-score trials, optional AS-Norm")
+    p = sub.add_parser("score", help="cosine-score trials, optional AS-Norm")
     p.add_argument("--trials", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--cohort", default=None, help="imposter cohort embedding file")
@@ -106,21 +109,15 @@ def _build_parser():
     p.add_argument("--unweighted", action="store_true",
                    help="sum selected layers without gate weighting")
 
-    p = sub.add_parser("gen-synth", help="generate synthetic speaker embeddings")
-    p.add_argument("--speakers", type=int, default=20)
-    p.add_argument("--utts", type=int, default=30)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--noise", type=float, default=0.15)
+    p = sub.add_parser("gen-synth", parents=[population],
+                       help="generate synthetic speaker embeddings")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="embedding text file")
     p.add_argument("--trials-out", default=None, help="also emit labeled trials")
     p.add_argument("--n-trials", type=int, default=200)
 
-    p = sub.add_parser("train-toy", help="SGD on synthetic speakers with the combined loss")
-    p.add_argument("--speakers", type=int, default=20)
-    p.add_argument("--utts", type=int, default=30)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--noise", type=float, default=0.15)
+    p = sub.add_parser("train-toy", parents=[population],
+                       help="SGD on synthetic speakers with the combined loss")
     p.add_argument("--data-seed", type=int, default=0)
     p.add_argument("--emb-dim", type=int, default=16)
     p.add_argument("--steps", type=int, default=500)
@@ -284,6 +281,8 @@ def _cmd_grad_check(args):
         X = rng.standard_normal((B, D))
         W = rng.standard_normal((C, D))
         y = rng.integers(0, C, size=B)
+        sp = np.clip(rng.uniform(0.0, 0.9, size=4), -1, 1)
+        sn = np.clip(rng.uniform(-0.5, 0.6, size=6), -1, 1)
 
         def f_sphere(x):
             loss, gX, _ = sphereface_loss(LossBatch(x, W, y), sf)
@@ -298,15 +297,6 @@ def _cmd_grad_check(args):
                                         frozen_alphas=frozen_x)
             return loss, gX
 
-        for f in (f_sphere, f_combined):
-            report = grad_check(f, X, step=args.step, tol=args.tol)
-            worst = np.maximum(worst, report.max_rel_error)  # keeps a NaN
-            if not report.passed:
-                failed += 1
-                print(str(report), file=sys.stderr)
-
-        sp = np.clip(rng.uniform(0.0, 0.9, size=4), -1, 1)
-        sn = np.clip(rng.uniform(-0.5, 0.6, size=6), -1, 1)
         frozen = circle_alphas(PairSet(sp, sn), cc)
 
         def f_circle(v):
@@ -314,12 +304,12 @@ def _cmd_grad_check(args):
             loss, gp, gn = circle_loss(pairs, cc, alphas=frozen)
             return loss, np.concatenate([gp, gn])
 
-        report = grad_check(f_circle, np.concatenate([sp, sn]),
-                            step=args.step, tol=args.tol)
-        worst = np.maximum(worst, report.max_rel_error)
-        if not report.passed:
-            failed += 1
-            print(str(report), file=sys.stderr)
+        for f, x0 in ((f_sphere, X), (f_combined, X), (f_circle, np.concatenate([sp, sn]))):
+            report = grad_check(f, x0, step=args.step, tol=args.tol)
+            worst = np.maximum(worst, report.max_rel_error)  # keeps a NaN
+            if not report.passed:
+                failed += 1
+                print(str(report), file=sys.stderr)
 
     print(f"instances={args.instances} failed={failed} max_rel_error={worst:.3e}")
     return EXIT_OK if failed == 0 else EXIT_NUMERIC
@@ -345,21 +335,15 @@ def main(argv=None):
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except DivergenceDetected as e:
+    except (DivergenceDetected, FloatingPointError) as e:
         print(f"sasvkit: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except SasvError as e:
-        print(f"sasvkit: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, json.JSONDecodeError, ValueError) as e:
-        print(f"sasvkit: {e}", file=sys.stderr)
-        return EXIT_DATA
     except MemoryError as e:
         print(f"sasvkit: out of memory: {e}", file=sys.stderr)
         return EXIT_DATA
-    except FloatingPointError as e:
-        print(f"sasvkit: numeric failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except (SasvError, OSError, ValueError) as e:  # a JSONDecodeError is a ValueError
+        print(f"sasvkit: {e}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -192,13 +192,15 @@ class EmbeddingSet:
 
 
 class Trial(namedtuple("Trial", "enroll_id test_id label")):
-    """One verification attempt, a named tuple with non-empty IDs."""
+    """One verification attempt, a named tuple with non-empty IDs and a TrialLabel."""
 
     __slots__ = ()
 
     def __new__(cls, enroll_id, test_id, label=TrialLabel.UNLABELED):
         if not enroll_id or not test_id:
             raise ValueError("trial IDs must be non-empty")
+        if not isinstance(label, TrialLabel):
+            raise ValueError(f"trial label must be a TrialLabel, not {label!r}")
         return super().__new__(cls, enroll_id, test_id, label)
 
     @property

@@ -69,20 +69,14 @@ class ADcfConfig:
         return min(reject_all, accept_all)
 
 
-def _candidates(*score_arrays):
-    scores = np.unique(np.concatenate(score_arrays))
-    return np.concatenate(([-np.inf], scores, [np.inf]))
-
-
-def _miss_rate(sorted_pos, taus):
-    # fraction of positives strictly below tau
-    return np.searchsorted(sorted_pos, taus, side="left") / sorted_pos.shape[0]
-
-
-def _fa_rate(sorted_neg, taus):
-    # fraction of negatives at or above tau
-    n = sorted_neg.shape[0]
-    return (n - np.searchsorted(sorted_neg, taus, side="left")) / n
+def _sweep(pos, *negs):
+    """(thresholds, P_miss, one P_fa per negative class) over the
+    candidate sweep of sorted score arrays."""
+    taus = np.concatenate(([-np.inf], np.unique(np.concatenate((pos, *negs))), [np.inf]))
+    # P_miss: positives strictly below tau; P_fa: negatives at or above it
+    p_miss = np.searchsorted(pos, taus, side="left") / pos.shape[0]
+    p_fa = [(n.shape[0] - np.searchsorted(n, taus, side="left")) / n.shape[0] for n in negs]
+    return (taus, p_miss, *p_fa)
 
 
 def eer(positive, negative):
@@ -95,9 +89,7 @@ def eer(positive, negative):
     neg = np.sort(np.asarray(negative, dtype=np.float64))
     if pos.size == 0 or neg.size == 0:
         raise EmptyClass("eer needs at least one score in each class")
-    taus = _candidates(pos, neg)
-    frr = _miss_rate(pos, taus)
-    far = _fa_rate(neg, taus)
+    taus, frr, far = _sweep(pos, neg)
     idx = int(np.argmin(np.abs(frr - far)))  # first minimum = lowest tau
     return float((frr[idx] + far[idx]) / 2.0), float(taus[idx])
 
@@ -118,14 +110,12 @@ def spf_eer(scores):
     return eer(target, spoof)
 
 
-def _sweep(scores, empty_message):
-    """(thresholds, P_miss, P_fa_nontarget, P_fa_spoof) over the
-    candidate sweep of a set holding all three classes."""
+def _three_class_sweep(scores, empty_message):
+    """`_sweep` of a set's target, nontarget and spoof scores."""
     tar, non, spf = (np.sort(np.asarray(c, dtype=np.float64)) for c in partition_scores(scores))
     if not (tar.size and non.size and spf.size):
         raise EmptyClass(empty_message)
-    taus = _candidates(tar, non, spf)
-    return taus, _miss_rate(tar, taus), _fa_rate(non, taus), _fa_rate(spf, taus)
+    return _sweep(tar, non, spf)
 
 
 def a_dcf(scores, cfg=ADcfConfig()):
@@ -135,7 +125,7 @@ def a_dcf(scores, cfg=ADcfConfig()):
     cost of the better dummy system, so normalized = 1 means no better
     than always accepting or always rejecting.
     """
-    taus, p_miss, p_fa_non, p_fa_spf = _sweep(
+    taus, p_miss, p_fa_non, p_fa_spf = _three_class_sweep(
         scores, "a_dcf needs target, nontarget, and spoof scores")
     cost = (
         cfg.c_miss * cfg.pi_target * p_miss
@@ -151,5 +141,5 @@ def det_points(scores):
     """Error rates at every candidate threshold, ascending threshold: a
     record array with fields threshold, p_miss, p_fa_nontarget and
     p_fa_spoof, one record per threshold."""
-    return np.rec.fromarrays(_sweep(scores, "det_points needs all three classes"),
+    return np.rec.fromarrays(_three_class_sweep(scores, "det_points needs all three classes"),
                              names="threshold,p_miss,p_fa_nontarget,p_fa_spoof")

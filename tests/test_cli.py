@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import sasvkit
 from sasvkit import cli, fileio, losses, metrics, moe, sampler, scoring
 from sasvkit.cli import main
 from sasvkit.core import Embedding, EmbeddingSet, ScoreSet, Trial, TrialLabel
+from sasvkit.errors import BadParams, DivergenceDetected
 from sasvkit.moe import GateParams
 
 
@@ -259,6 +262,12 @@ def test_cli_import_does_not_load_scipy():
 def test_grad_check_command(capsys):
     assert main(["grad-check", "--instances", "3", "--seed", "1"]) == 0
     assert "failed=0" in capsys.readouterr().out
+    # every check fails: each instance reports sphere, combined, circle
+    assert main(["grad-check", "--instances", "2", "--tol", "1e-300"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("grad_check FAIL") for line in err)
+    assert [re.search(r"checked=\d+", line)[0] for line in err] == [
+        "checked=32", "checked=32", "checked=10"] * 2
 
 
 def test_grad_check_exits_3_on_a_nan_gradient(monkeypatch, capsys):
@@ -357,6 +366,35 @@ def test_gen_synth_label_split(tmp_path, speakers, utts, n_trials, n_target):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (DivergenceDetected("loss is nan"), 3, "sasvkit: numeric failure: "),
+    (FloatingPointError("overflow"), 3, "sasvkit: numeric failure: "),
+    (BadParams("bad"), 2, "sasvkit: "),
+    (FileNotFoundError("gone"), 2, "sasvkit: "),
+    (ValueError("bad value"), 2, "sasvkit: "),
+    (json.JSONDecodeError("bad json", "{", 1), 2, "sasvkit: "),
+    (MemoryError("too big"), 2, "sasvkit: out of memory: "),
+])
+def test_exit_code_map(exc, code, prefix, monkeypatch, capsys):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", fail)
+    assert main(["eval", "--scores", "x"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}{exc}\n"
+
+
+def test_usage_error_prints_the_usage_then_the_error(capsys):
+    assert main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    *usage, error = captured.err.splitlines()  # argparse wraps a long usage
+    assert usage[0] == "usage: sasvkit [-h]"
+    assert error == "sasvkit: error: the following arguments are required: command"
 
 
 def test_oversized_parameter_is_a_data_error(capsys):

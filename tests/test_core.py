@@ -88,6 +88,9 @@ def test_trial_requires_ids():
         Trial("", "t")
     with pytest.raises(ValueError):
         Trial("e", "")
+    for token in ("target", None):  # a label must be a TrialLabel, not its token
+        with pytest.raises(ValueError, match=f"not {token!r}"):
+            Trial("e", "t", token)
 
 
 def test_self_trials_allowed():

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import oracle_a_dcf, oracle_eer
 
-from sasvkit.core import ScoreSet, Trial, TrialLabel
+from sasvkit.core import ScoreSet, Trial, TrialLabel, partition_scores
 from sasvkit.errors import EmptyClass
 from sasvkit.metrics import ADcfConfig, a_dcf, det_points, eer, spf_eer, sv_eer
 
@@ -181,3 +181,20 @@ def test_p_miss_complement_property():
     for p in det_points(s):
         accepted = sum(1 for v in targets if v >= p.threshold) / len(targets)
         assert abs(p.p_miss + accepted - 1.0) < 1e-12
+
+
+def test_eer_a_dcf_and_det_points_read_one_sweep():
+    rng = np.random.default_rng(21)
+    cfg = ADcfConfig()
+    for i in range(40):
+        s = _random_labeled_set(rng, max_per_class=20)
+        if i % 2:  # coarse scores: ties within and across classes
+            s = ScoreSet((t, round(v, 1)) for t, v in s)
+        points = det_points(s)
+        minimum, tau, _ = a_dcf(s, cfg)
+        (p,) = points[points.threshold == tau]
+        assert minimum == (cfg.c_miss * cfg.pi_target * p.p_miss
+                           + cfg.c_fa_nontarget * cfg.pi_nontarget * p.p_fa_nontarget
+                           + cfg.c_fa_spoof * cfg.pi_spoof * p.p_fa_spoof)
+        target, nontarget, _ = partition_scores(s)
+        assert sv_eer(s) == eer(target, nontarget)
