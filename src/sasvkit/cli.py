@@ -63,6 +63,13 @@ def _top_k(text):
     return value
 
 
+def _weights(text):
+    try:
+        return [float(w) for w in text.split(",")]
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"{e} in {text!r}") from None
+
+
 def _build_parser():
     top = _Parser(prog="sasvkit", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -92,7 +99,7 @@ def _build_parser():
     p = sub.add_parser("ensemble", help="weighted mean of score files")
     p.add_argument("--in", dest="inputs", required=True,
                    help="comma-separated score files")
-    p.add_argument("--weights", default=None, help="comma-separated weights")
+    p.add_argument("--weights", type=_weights, default=None, help="comma-separated weights")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval", help="SV-EER, SPF-EER, min a-DCF of a labeled score file")
@@ -162,10 +169,7 @@ def _cmd_cascade(args):
 
 def _cmd_ensemble(args):
     sets = [fileio.parse_scores(f) for f in args.inputs.split(",")]
-    weights = None
-    if args.weights is not None:
-        weights = [float(w) for w in args.weights.split(",")]
-    fileio.write_scores(scoring.ensemble(sets, weights), args.out)
+    fileio.write_scores(scoring.ensemble(sets, args.weights), args.out)
     return EXIT_OK
 
 
@@ -191,13 +195,14 @@ def _load_adcf_config(path):
 def _cmd_eval(args):
     scores = fileio.parse_scores(args.scores)
     cfg = _load_adcf_config(args.adcf_config) if args.adcf_config else metrics.ADcfConfig()
+    # computed before any output, so a data error leaves stdout empty
+    sv, _ = metrics.sv_eer(scores)
+    spf, _ = metrics.spf_eer(scores)
+    mind, tau, norm = metrics.a_dcf(scores, cfg)
     print("# SV-EER is target-vs-nontarget (spoof trials excluded)")
     print(f"# a-DCF costs/priors: c_miss={cfg.c_miss:g} "
           f"c_fa_nontarget={cfg.c_fa_nontarget:g} c_fa_spoof={cfg.c_fa_spoof:g} "
           f"pi={cfg.pi_target:g}/{cfg.pi_nontarget:g}/{cfg.pi_spoof:g}")
-    sv, _ = metrics.sv_eer(scores)
-    spf, _ = metrics.spf_eer(scores)
-    mind, tau, norm = metrics.a_dcf(scores, cfg)
     print(f"sv_eer={_fmt(sv)}")
     print(f"spf_eer={_fmt(spf)}")
     print(f"min_a_dcf={_fmt(mind)}")

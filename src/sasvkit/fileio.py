@@ -3,12 +3,13 @@
 Text files are UTF-8; bad UTF-8 is a ParseError at its byte offset. The
 tokenizer `_lines` is the one definition of their fields (split on any
 run of whitespace) and comments (a line whose first field starts with
-`#`). It reads a file in blocks that end at a newline, so the memory a
-parse needs besides its result does not grow with the file size; an
-error found after the read (a repeated ID or trial, a non-finite or zero
-row) takes its line number from the record's line that the parser kept.
-The enroll and test IDs of trial and score files are interned, so each
-distinct ID is one string however many lines and files repeat it.
+`#`). It reads text about 64 KiB at a time, each read completed to the
+next newline by the stream's `readline`, so the memory a parse needs
+besides its result does not grow with the file size; an error found
+after the read (a repeated ID or trial, a non-finite or zero row) takes
+its line number from the record's line that the parser kept. The enroll
+and test IDs of trial and score files are interned, so each distinct ID
+is one string however many lines and files repeat it.
 
 The writers separate fields with one space and raise ValueError, before
 the target is opened, for an ID that would not read back as the same
@@ -67,52 +68,35 @@ def _write_all(data, path_or_stream):
             fh.write(data)
 
 
-def _blocks(stream, head):
-    """The text of `stream` (str or bytes), after the already read
-    `head`, in pieces that each end at a newline but for the last. Each
-    read is searched once and joined once, so a line longer than a
-    block costs time in proportion to its length."""
-    pending = [head] if head else []  # what is read of a line not yet ended
-    while chunk := stream.read(_BLOCK):
-        cut = chunk.rfind(b"\n" if isinstance(chunk, bytes) else "\n") + 1
-        if cut:
-            yield chunk[:0].join([*pending, chunk[:cut]])
-            pending = [chunk[cut:]]
-        else:
-            pending.append(chunk)
-    if pending:
-        yield pending[0][:0].join(pending)
-
-
 def _lines(path_or_stream, head=None):
     """(line number, fields) of each line of a text path or stream (str
     or UTF-8 bytes; `head` is what was already read of the stream) that
     is neither blank nor a comment: the one definition of the text
     grammar's fields and comments.
 
-    The text is read and decoded in blocks that end at a newline, so a
-    CR LF pair never straddles two blocks and `splitlines` on each block
-    gives the lines of the whole text. A path's file is closed when the
-    lines end or the generator is dropped, as it is when a parser that
-    iterates it in its `for` statement raises."""
+    The text is read and decoded in blocks of `_BLOCK` that the stream's
+    `readline` completes to the next newline, so a CR LF pair never
+    straddles two blocks and `splitlines` on each block gives the lines
+    of the whole text. A path's file is closed when the lines end or the
+    generator is dropped, as it is when a parser that iterates it in its
+    `for` statement raises."""
     if not hasattr(path_or_stream, "read"):
         with open(path_or_stream, "rb") as fh:
             yield from _lines(fh)
         return
     lineno = offset = 0
-    for block in _blocks(path_or_stream, head):
-        if isinstance(block, bytes):
-            try:
-                text = block.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise ParseError(f"bad UTF-8 text: {e.reason}", offset=offset + e.start) from None
-            offset += len(block)
-        else:
-            text = block
+    block = head or path_or_stream.read(0)  # "" or b"", as the stream reads
+    while block := block + path_or_stream.read(_BLOCK) + path_or_stream.readline():
+        try:
+            text = block.decode("utf-8") if isinstance(block, bytes) else block
+        except UnicodeDecodeError as e:
+            raise ParseError(f"bad UTF-8 text: {e.reason}", offset=offset + e.start) from None
+        offset += len(block)
         for lineno, line in enumerate(text.splitlines(), start=lineno + 1):
             fields = line.split()
             if fields and fields[0][0] != "#":
                 yield lineno, fields
+        block = block[:0]
 
 
 def _label_code(fields, n, lineno):
@@ -222,10 +206,9 @@ def parse_embeddings(path_or_stream, format="auto"):
         with open(path_or_stream, "rb") as fh:
             return parse_embeddings(fh, format)
     head = None if format == "text" else path_or_stream.read(len(MAGIC))
-    if format == "binary" or head in (MAGIC, MAGIC.decode()):
+    if format == "binary" or head == MAGIC:
         # the whole body, for its checksum
-        data = head + path_or_stream.read()
-        return _parse_embeddings_binary(data.encode("utf-8") if isinstance(data, str) else data)
+        return _parse_embeddings_binary(head + path_or_stream.read())
     return _parse_embeddings_text(path_or_stream, head)
 
 

@@ -37,20 +37,19 @@ import numpy as np
 
 from .errors import InvalidBatch, ValueOutOfRange
 
+_COS_CLAMP_EPS = 1e-7  # cosines are clamped to [-1+eps, 1-eps] before arccos
+
 
 @dataclass(frozen=True)
 class SphereFaceConfig:
     scale_s: float = 30.0
     margin_m: float = 1.5
-    cos_clamp_eps: float = 1e-7
 
     def __post_init__(self):
         if not (self.scale_s > 0 and math.isfinite(self.scale_s)):
             raise ValueError("scale_s must be finite and > 0")
         if not (self.margin_m >= 1 and math.isfinite(self.margin_m)):
             raise ValueError("margin_m must be finite and >= 1")
-        if not 0 < self.cos_clamp_eps < 1:
-            raise ValueError("cos_clamp_eps must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,7 @@ def sphereface_loss(batch, cfg=SphereFaceConfig()):
     """
     Xh, xn, Wh, wn = batch._unit
     y, B = batch.labels, batch.size
-    s, m, eps = cfg.scale_s, cfg.margin_m, cfg.cos_clamp_eps
+    s, m, eps = cfg.scale_s, cfg.margin_m, _COS_CLAMP_EPS
 
     C0 = Xh @ Wh.T
     Cc = np.clip(C0, -1.0 + eps, 1.0 - eps)

@@ -61,11 +61,11 @@ class GateParams:
             raise BadK("top_k must be an integer >= 1")
 
     @classmethod
-    def random(cls, n_candidates, dim, top_k=DEFAULT_TOP_K, seed=0, scale=1.0):
+    def random(cls, n_candidates, dim, top_k=DEFAULT_TOP_K, seed=0):
         rng = np.random.default_rng(seed)
         return cls(
-            weight=scale * rng.standard_normal((n_candidates, dim)),
-            bias=scale * rng.standard_normal(n_candidates),
+            weight=rng.standard_normal((n_candidates, dim)),
+            bias=rng.standard_normal(n_candidates),
             top_k=top_k,
         )
 

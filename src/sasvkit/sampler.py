@@ -13,7 +13,7 @@ scored together. Everything is deterministic given the configured seeds.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, count
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import (
     TooFewSpeakers,
     ZeroNorm,
 )
-from .losses import CircleConfig, SphereFaceConfig, combined_loss, LossBatch
+from .losses import LossBatch, combined_loss
 from .scoring import _pair_cosines
 
 
@@ -138,8 +138,6 @@ class ToyModel:
 class TrainConfig:
     steps: int = 500
     learning_rate: float = 1e-3
-    sphereface: SphereFaceConfig = field(default_factory=SphereFaceConfig)
-    circle: CircleConfig = field(default_factory=CircleConfig)
 
     def __post_init__(self):
         if self.steps < 0:
@@ -219,7 +217,7 @@ def train_toy(dataset, model0, tc, pk):
             batch = LossBatch(raw_emb, model.class_weights, labels)
         except InvalidBatch:
             raise DivergenceDetected(step, "parameters became non-finite")
-        loss, grad_emb, grad_w = combined_loss(batch, tc.sphereface, tc.circle)
+        loss, grad_emb, grad_w = combined_loss(batch)
         if not math.isfinite(loss):
             raise DivergenceDetected(step)
         # raw_emb = feats @ P.T, so dL/dP = grad_emb.T @ feats

@@ -187,7 +187,7 @@ def train_toy(dataset, model, tc, pk):
             if step >= tc.steps:
                 break
             batch = LossBatch(model.embed(feats), model.class_weights, labels)
-            loss, grad_emb, grad_w = combined_loss(batch, tc.sphereface, tc.circle)
+            loss, grad_emb, grad_w = combined_loss(batch)
             if not math.isfinite(loss):
                 raise DivergenceDetected(step)
             model.projection -= tc.learning_rate * (grad_emb.T @ feats)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,52 @@ def test_ensemble_non_finite_weight_names_the_weights(tmp_path, capsys):
     assert main(["ensemble", "--in", f"{scores},{scores}", "--weights", "nan,1",
                  "--out", out]) == 2
     assert "weights must be finite, got [nan, 1.0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights", ["abc", "1,,2"])
+def test_malformed_weights_are_a_usage_error(tmp_path, capsys, weights):
+    scores = tmp_path / "scores.txt"
+    scores.write_text("e t 0.5\n")
+    assert main(["ensemble", "--in", f"{scores},{scores}", "--weights", weights,
+                 "--out", str(tmp_path / "out.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: sasvkit ensemble ")
+    assert error.startswith("sasvkit ensemble: error: argument --weights: ")
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("e1 t1 2.0 target\ne2 t2 -1.0 nontarget\n", "spf_eer needs target and spoof scores"),
+    ("e1 t1 2.0\ne2 t2 -1.0\n", "trial ('e1', 't1') has no label"),
+], ids=["no-spoof", "unlabeled"])
+def test_eval_data_error_leaves_stdout_empty(tmp_path, capsys, text, message):
+    scores = tmp_path / "scores.txt"
+    scores.write_text(text)
+    assert main(["eval", "--scores", str(scores)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sasvkit: {message}\n"
+
+
+def _readme_commands():
+    """The `sasvkit ...` commands of the README's "Command line" block,
+    with backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("sasvkit ")]
+
+
+def test_readme_lists_every_subcommand():
+    assert sorted({argv[0] for argv in _readme_commands()}) == sorted(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_parse(argv):
+    args = cli._build_parser().parse_args(argv)
+    assert args.command == argv[0]
 
 
 def test_duplicate_score_line_is_located(tmp_path, capsys):

@@ -131,8 +131,14 @@ def test_from_columns_reports_the_first_offending_record():
         ScoreSet.from_columns(["e"], ["t"], [unlabeled], [0.0, 1.0])
     with pytest.raises(ValueError, match="non-empty"):
         ScoreSet.from_columns([""], ["t"], [unlabeled], [0.0])
+    for code in (-1, 4):
+        with pytest.raises(ValueError, match="^unknown label code$"):
+            ScoreSet.from_columns(["e"], ["t"], [code], [0.0])
     s = ScoreSet.from_columns(["e", "e"], ["t", "t2"], [0, 3], [0.5, -1.0])
     assert list(s) == [(Trial("e", "t", TrialLabel.TARGET), 0.5), (Trial("e", "t2"), -1.0)]
+    for scores in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="^score set columns differ in length$"):
+            s.with_scores(scores)
 
 
 def test_derived_set_shares_keys_until_either_appends():

@@ -301,7 +301,61 @@ def _binary_file(ids, rows):
         body += struct.pack("<H", len(id_bytes)) + id_bytes
         offsets.append(12 + len(body))
         body += row.astype("<f4").tobytes()
-    return MAGIC + struct.pack("<I", zlib.crc32(bytes(body))) + bytes(body), offsets
+    return _signed(bytes(body)), offsets
+
+
+def _signed(body):
+    """The binary file of `body` (everything after the checksum field)
+    with a correct CRC-32, so a structure check fails and not the
+    checksum."""
+    return MAGIC + struct.pack("<I", zlib.crc32(body)) + body
+
+
+_HEAD_1x1 = struct.pack("<II", 1, 1)  # dimension 1, one record
+_HEAD_1x2 = struct.pack("<II", 1, 2)  # dimension 1, two records
+_RECORD_A = struct.pack("<H", 1) + b"a" + struct.pack("<f", 1.0)  # 7 bytes
+
+
+@pytest.mark.parametrize("body, message, offset", [
+    (struct.pack("<II", 0, 1), "dimension must be >= 1", 12),
+    (struct.pack("<II", 2, 1), "truncated record 0", 20),
+    (_HEAD_1x2 + _RECORD_A, "truncated record 1", 27),
+    (_HEAD_1x2 + _RECORD_A + b"\x01", "truncated record 1", 27),
+    (struct.pack("<II", 2, 1) + _RECORD_A, "truncated record 0", 22),
+    (_HEAD_1x1 + struct.pack("<H", 9) + b"a" + struct.pack("<f", 1.0), "truncated record 0", 22),
+    (_HEAD_1x2 + _RECORD_A + struct.pack("<H", 1) + b"\xff" + struct.pack("<f", 1.0),
+     "bad UTF-8 in record 1 ID", 29),
+    (_HEAD_1x1 + _RECORD_A + b"\x00", "trailing bytes after last record", 27),
+], ids=["dimension-0", "no-record", "no-second-record", "cut-id-length", "cut-values",
+        "id-past-the-end", "bad-utf8-id", "trailing-byte"])
+def test_binary_structure_errors_are_located(body, message, offset):
+    for fmt in ("binary", "auto"):
+        with pytest.raises(ParseError) as info:
+            parse_embeddings(io.BytesIO(_signed(body)), format=fmt)
+        assert str(info.value) == f"{message} (byte offset {offset})"
+        assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: write_embeddings_binary(EmbeddingSet(), io.BytesIO()),
+     "^cannot write an empty embedding set$"),
+    (lambda: write_embeddings_binary(
+        EmbeddingSet.from_matrix(["\xe9" * 32768], np.ones((1, 2))), io.BytesIO()),
+     "^ID too long: '\xe9"),
+    (lambda: write_scores(ScoreSet.from_columns([1], [2], [0], [0.5]), io.StringIO()),
+     r"^ID 1 is not a text field: "),
+    (lambda: parse_embeddings(io.BytesIO(MAGIC), format="bogus"), "^unknown format 'bogus'$"),
+], ids=["empty-set", "long-id", "non-str-id", "unknown-format"])
+def test_writers_and_the_format_switch_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_binary_ids_up_to_65535_utf8_bytes_round_trip():
+    buf = io.BytesIO()
+    uid = "\xe9" * 32767 + "x"  # 65,535 bytes
+    write_embeddings_binary(EmbeddingSet.from_matrix([uid], np.ones((1, 2))), buf)
+    assert parse_embeddings(io.BytesIO(buf.getvalue())).ids() == [uid]
 
 
 @settings(max_examples=300, deadline=None)

@@ -80,6 +80,18 @@ def test_spf_eer():
         spf_eer(_labeled_set(target=[0.9], nontarget=[0.1]))
 
 
+@pytest.mark.parametrize("metric, message", [
+    (a_dcf, "a_dcf needs target, nontarget, and spoof scores"),
+    (det_points, "det_points needs all three classes"),
+])
+def test_three_class_metrics_need_spoof_trials(metric, message):
+    for s in (_labeled_set(target=[0.9], nontarget=[0.1]),
+              _labeled_set(target=[0.9], spoof=[0.1]),
+              _labeled_set(nontarget=[0.1], spoof=[0.2])):
+        with pytest.raises(EmptyClass, match=f"^{message}$"):
+            metric(s)
+
+
 def test_adcf_config_validation():
     with pytest.raises(ValueError):
         ADcfConfig(c_miss=0.0)

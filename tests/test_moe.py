@@ -55,6 +55,17 @@ def test_gate_params_require_an_integer_top_k_of_at_least_1(top_k):
         GateParams(np.ones((3, 2)), np.zeros(3), top_k=top_k)
 
 
+@pytest.mark.parametrize("weight, bias, message", [
+    (np.ones(3), np.zeros(3), "gate weight must be a matrix"),
+    (np.ones((3, 2, 1)), np.zeros(3), "gate weight must be a matrix"),
+    (np.ones((3, 2)), np.zeros(2), "gate bias length must match weight rows"),
+    (np.ones((3, 2)), np.zeros((3, 1)), "gate bias length must match weight rows"),
+])
+def test_gate_params_check_their_shapes(weight, bias, message):
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        GateParams(weight, bias)
+
+
 def test_gate_params_take_a_numpy_integer_top_k():
     assert GateParams(np.ones((3, 2)), np.zeros(3), top_k=np.int64(2)).top_k == 2
 

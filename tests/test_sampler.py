@@ -143,8 +143,6 @@ def test_first_step_descends_on_its_own_batch():
     feats, labels = pk_batches(ds, pk)[0]
     after = combined_loss(
         LossBatch(model.embed(feats), model.class_weights, labels),
-        tc.sphereface,
-        tc.circle,
     )[0]
     assert history[0] > after
 
@@ -178,7 +176,7 @@ def test_divergence_detection(monkeypatch):
     ds = gen_synthetic(4, 6, 8, noise=0.1, seed=0)
     model0 = ToyModel.random(6, 8, 4, seed=0)
 
-    def exploding_loss(batch, sf, cc):
+    def exploding_loss(batch):
         return float("nan"), np.zeros_like(batch.embeddings), np.zeros_like(
             batch.class_weights
         )

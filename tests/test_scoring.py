@@ -301,6 +301,9 @@ def test_cascade_config_rejects_a_nan_threshold_and_keeps_infinite_ones():
         CascadeConfig(sd_threshold=float("nan"))
     for threshold in (float("inf"), -float("inf")):
         assert CascadeConfig(sd_threshold=threshold).sd_threshold == threshold
+    for reject in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^reject_score must be finite$"):
+            CascadeConfig(sd_threshold=0.0, reject_score=reject)
 
 
 def test_cascade_examples():
