@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from itertools import islice
 
@@ -23,10 +24,8 @@ from . import fileio, metrics, moe, sampler, scoring
 from .core import EmbeddingSet, Trial, TrialLabel
 from .errors import BadParams, DivergenceDetected, DuplicateTrial, SasvError
 from .losses import (
-    CircleConfig,
     LossBatch,
     PairSet,
-    SphereFaceConfig,
     circle_alphas,
     circle_loss,
     combined_loss,
@@ -176,7 +175,7 @@ def _cmd_ensemble(args):
 def _load_adcf_config(path):
     """ADcfConfig from a JSON object of finite numbers; any other content
     is a data error naming the file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         fields = json.load(fh, parse_int=float)
     if not isinstance(fields, dict):
         raise BadParams(f"{path}: a-DCF config must be a JSON object")
@@ -251,21 +250,22 @@ def _cmd_gen_synth(args):
 
 
 def _cmd_train_toy(args):
-    dataset = sampler.gen_synthetic(args.speakers, args.utts, args.dim,
-                                    args.noise, args.data_seed)
-    model0 = sampler.ToyModel.random(args.emb_dim, args.dim, args.speakers,
-                                     seed=args.train_seed)
-    tc = sampler.TrainConfig(steps=args.steps, learning_rate=args.lr)
-    pk = sampler.PkConfig(P=args.p, K=args.k, seed=args.train_seed)
+    # opened first, so a bad path fails before any work (a later failure
+    # leaves the file empty); without the option the history is discarded
+    with open(args.history_out or os.devnull, "w", encoding="utf-8") as fh:
+        dataset = sampler.gen_synthetic(args.speakers, args.utts, args.dim,
+                                        args.noise, args.data_seed)
+        model0 = sampler.ToyModel.random(args.emb_dim, args.dim, args.speakers,
+                                         seed=args.train_seed)
+        tc = sampler.TrainConfig(steps=args.steps, learning_rate=args.lr)
+        pk = sampler.PkConfig(P=args.p, K=args.k, seed=args.train_seed)
 
-    eer0, _ = metrics.sv_eer(sampler.eval_toy(model0, dataset, args.eval_trials,
-                                              seed=args.data_seed + 99))
-    model, history = sampler.train_toy(dataset, model0, tc, pk)
-    eer1, _ = metrics.sv_eer(sampler.eval_toy(model, dataset, args.eval_trials,
-                                              seed=args.data_seed + 99))
-    if args.history_out:
-        with open(args.history_out, "w") as fh:
-            fh.writelines(repr(h) + "\n" for h in history)
+        eer0, _ = metrics.sv_eer(sampler.eval_toy(model0, dataset, args.eval_trials,
+                                                  seed=args.data_seed + 99))
+        model, history = sampler.train_toy(dataset, model0, tc, pk)
+        eer1, _ = metrics.sv_eer(sampler.eval_toy(model, dataset, args.eval_trials,
+                                                  seed=args.data_seed + 99))
+        fh.writelines(repr(h) + "\n" for h in history)
     print(f"initial_sv_eer={_fmt(eer0)}")
     print(f"final_sv_eer={_fmt(eer1)}")
     if history:
@@ -277,8 +277,6 @@ def _cmd_grad_check(args):
     if args.instances < 1:
         raise BadParams("--instances must be >= 1")
     rng = np.random.default_rng(args.seed)
-    sf = SphereFaceConfig()
-    cc = CircleConfig()
     worst = 0.0
     failed = 0
     for _ in range(args.instances):
@@ -286,27 +284,26 @@ def _cmd_grad_check(args):
         X = rng.standard_normal((B, D))
         W = rng.standard_normal((C, D))
         y = rng.integers(0, C, size=B)
-        sp = np.clip(rng.uniform(0.0, 0.9, size=4), -1, 1)
-        sn = np.clip(rng.uniform(-0.5, 0.6, size=6), -1, 1)
+        sp = rng.uniform(0.0, 0.9, size=4)
+        sn = rng.uniform(-0.5, 0.6, size=6)
 
         def f_sphere(x):
-            loss, gX, _ = sphereface_loss(LossBatch(x, W, y), sf)
+            loss, gX, _ = sphereface_loss(LossBatch(x, W, y))
             return loss, gX
 
         # alphas are detached in the loss, so freeze them at the base
         # point or finite differences would see them move
-        frozen_x = circle_alphas(mine_pairs(X, y), cc)
+        frozen_x = circle_alphas(mine_pairs(X, y))
 
         def f_combined(x):
-            loss, gX, _ = combined_loss(LossBatch(x, W, y), sf, cc,
-                                        frozen_alphas=frozen_x)
+            loss, gX, _ = combined_loss(LossBatch(x, W, y), frozen_alphas=frozen_x)
             return loss, gX
 
-        frozen = circle_alphas(PairSet(sp, sn), cc)
+        frozen = circle_alphas(PairSet(sp, sn))
 
         def f_circle(v):
             pairs = PairSet(v[:4], v[4:])
-            loss, gp, gn = circle_loss(pairs, cc, alphas=frozen)
+            loss, gp, gn = circle_loss(pairs, alphas=frozen)
             return loss, np.concatenate([gp, gn])
 
         for f, x0 in ((f_sphere, X), (f_combined, X), (f_circle, np.concatenate([sp, sn]))):

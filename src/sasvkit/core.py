@@ -45,14 +45,6 @@ class TrialLabel(Enum):
     SPOOF = "spoof"
     UNLABELED = "unlabeled"
 
-    @classmethod
-    def from_token(cls, token):
-        """Parse one of the exact lowercase tokens target/nontarget/spoof."""
-        try:
-            return LABELS[TOKEN_CODE[token]]
-        except (KeyError, TypeError):
-            raise ValueError(f"unknown label {token!r}") from None
-
 
 def _readonly(array):
     array.setflags(write=False)

@@ -11,10 +11,11 @@ its line number from the record's line that the parser kept. The enroll
 and test IDs of trial and score files are interned, so each distinct ID
 is one string however many lines and files repeat it.
 
-The writers separate fields with one space and raise ValueError, before
-the target is opened, for an ID that would not read back as the same
-field: an empty one, one holding whitespace, or a line's first field
-starting with `#`.
+The writers encode text as UTF-8, separate fields with one space and
+raise ValueError, before the target is opened, for an ID that would not
+read back as the same field: an empty one, one holding whitespace, a
+line's first field starting with `#`, or a text embedding file's first
+ID starting with the binary magic.
 
 Text embedding file: one `<id> <v1> ... <vD>` line per utterance.
 Values are written as shortest round-trip decimals of the 32-bit stored
@@ -40,6 +41,7 @@ Gate file: one `<name> <w1> ... <wD> <bias>` line per gate output, read
 and written as float64.
 """
 
+import io
 import struct
 import sys
 import zlib
@@ -47,24 +49,26 @@ from array import array
 
 import numpy as np
 
-from .core import LABEL_CODE, LABELS, TOKEN_CODE, EmbeddingSet, ScoreSet, Trial, TrialLabel
+from .core import _UNLABELED, LABEL_CODE, LABELS, TOKEN_CODE, EmbeddingSet, ScoreSet, Trial
 from .errors import DimensionDrift, DuplicateId, DuplicateTrial, ParseError
 
 MAGIC = b"SASVEMB1"
 _BLOCK = 1 << 16  # bytes (or characters) a text reader reads at a time
 
-_UNLABELED = LABEL_CODE[TrialLabel.UNLABELED]
 # a label code's optional last field, as the writers append it
 _LABEL_SUFFIX = tuple("" if code == _UNLABELED else " " + label.value
                       for code, label in enumerate(LABELS))
 
 
 def _write_all(data, path_or_stream):
-    """Write str or bytes to a stream, or to a path it then replaces."""
+    """Write str or bytes to a stream, or to a path it then replaces (str
+    as UTF-8, whatever the locale)."""
     if hasattr(path_or_stream, "write"):
         path_or_stream.write(data)
     else:
-        with open(path_or_stream, "wb" if isinstance(data, bytes) else "w") as fh:
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        with open(path_or_stream, "wb") as fh:
             fh.write(data)
 
 
@@ -79,10 +83,19 @@ def _lines(path_or_stream, head=None):
     straddles two blocks and `splitlines` on each block gives the lines
     of the whole text. A path's file is closed when the lines end or the
     generator is dropped, as it is when a parser that iterates it in its
-    `for` statement raises."""
+    `for` statement raises. An unbuffered stream, whose `readline` would
+    read a byte at a time, is read through a buffer that is detached at
+    that point, so the caller's stream stays open."""
     if not hasattr(path_or_stream, "read"):
         with open(path_or_stream, "rb") as fh:
             yield from _lines(fh)
+        return
+    if isinstance(path_or_stream, io.RawIOBase):
+        buffered = io.BufferedReader(path_or_stream)
+        try:
+            yield from _lines(buffered, head)
+        finally:
+            buffered.detach()
         return
     lineno = offset = 0
     block = head or path_or_stream.read(0)  # "" or b"", as the stream reads
@@ -215,6 +228,9 @@ def parse_embeddings(path_or_stream, format="auto"):
 def write_embeddings_text(embset, path_or_stream):
     ids = embset.ids()
     _check_ids(ids, first=True)
+    if ids and ids[0].startswith(MAGIC.decode()):
+        raise ValueError(f"ID {ids[0]!r} cannot start a text embedding file: it begins "
+                         f"with the binary magic {MAGIC.decode()!r}")
     # repr of the exact float64 value of each float32 component:
     # shortest decimal that round-trips back to the same float32
     _write_all("".join([uid + " " + " ".join(map(repr, row)) + "\n"

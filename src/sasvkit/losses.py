@@ -207,14 +207,10 @@ def sphereface_loss(batch, cfg=SphereFaceConfig()):
 
     rows = np.arange(B)
     cy = Cc[rows, y]
+    theta = np.arccos(cy)
     logits = s * Cc
-    if m == 1.0:
-        # exact collapse to plain scaled-cosine cross-entropy
-        dtarget_dc = np.full(B, s)
-    else:
-        theta = np.arccos(cy)
-        logits[rows, y] = s * np.cos(m * theta)
-        dtarget_dc = s * m * np.sin(m * theta) / np.sqrt(1.0 - cy * cy)
+    logits[rows, y] = s * np.cos(m * theta)
+    dtarget_dc = s * m * np.sin(m * theta) / np.sqrt(1.0 - cy * cy)
 
     log_p = _log_softmax(logits, axis=1)
     loss = float(-np.mean(log_p[rows, y]))
@@ -292,20 +288,15 @@ def combined_loss(batch, sf=SphereFaceConfig(), cc=CircleConfig(), frozen_alphas
     Gradients of the pairwise term are chained through the within-batch
     pair mining back to the raw embeddings: with G the BxB matrix of
     pair gradients (G[i, j] = dL/ds_ij), dL/dX_hat = (G + G.T) @ X_hat.
-    With cc.weight == 0 the result equals sphereface_loss exactly.
+    With cc.weight == 0, or no positive or no negative pair, the pairwise
+    term adds exact zeros and the result equals sphereface_loss.
     """
     sf_loss, grad_X, grad_W = sphereface_loss(batch, sf)
-    if cc.weight == 0.0 or batch.size < 2:
-        return sf_loss, grad_X, grad_W
-
     Xh, xn = batch._unit[:2]
     sims, pos, neg = _pair_masks(Xh, batch.labels)
     c_loss, grad_sp, grad_sn = circle_loss(PairSet(sims[pos], sims[neg]), cc,
                                            alphas=frozen_alphas)
     total = sf_loss + cc.weight * c_loss
-    if c_loss == 0.0:
-        return total, grad_X, grad_W
-
     G = np.zeros_like(sims)
     G[pos] = cc.weight * grad_sp
     G[neg] = cc.weight * grad_sn
@@ -320,33 +311,26 @@ class GradCheckReport:
     passed: bool
     max_rel_error: float
     n_checked: int
-    n_excluded: int
     step: float
     tol: float
     failures: list = field(default_factory=list)
-    excluded_indices: list = field(default_factory=list)
 
     def __str__(self):
         status = "PASS" if self.passed else "FAIL"
         return (
             f"grad_check {status}: max_rel_error={self.max_rel_error:.3e} "
-            f"checked={self.n_checked} excluded={self.n_excluded} "
-            f"step={self.step:g} tol={self.tol:g}"
+            f"checked={self.n_checked} step={self.step:g} tol={self.tol:g}"
         )
 
 
-def grad_check(f, point, step=1e-5, tol=1e-4, exclude=None):
-    """Compare an analytic gradient with central finite differences.
+def grad_check(f, point, step=1e-5, tol=1e-4):
+    """Compare an analytic gradient with central finite differences at every coordinate.
 
     `f(x)` must return (scalar_value, gradient) with the gradient shaped
-    like x. `exclude` is an optional boolean mask of coordinates to skip
-    (e.g. where a clamp or hinge is active and the derivative is not
-    defined); excluded coordinates are reported, not checked.
-
-    The relative error per coordinate is |a - n| / max(1, |a|, |n|). A
-    NaN error (from a NaN or infinite a or n) fails the coordinate and
-    makes max_rel_error NaN. Raises ValueError unless `step` and `tol`
-    are finite and > 0.
+    like x. The relative error per coordinate is
+    |a - n| / max(1, |a|, |n|). A NaN error (from a NaN or infinite a or
+    n) fails the coordinate and makes max_rel_error NaN. Raises
+    ValueError unless `step` and `tol` are finite and > 0.
     """
     for name, value in (("step", step), ("tol", tol)):
         # written so that NaN fails too
@@ -357,7 +341,6 @@ def grad_check(f, point, step=1e-5, tol=1e-4, exclude=None):
     analytic = np.asarray(analytic, dtype=np.float64)
     if analytic.shape != point.shape:
         raise ValueError("gradient shape does not match point shape")
-    exclude = np.zeros(point.shape, bool) if exclude is None else np.asarray(exclude, bool)
     flat = point.ravel()
 
     def f_at(k, delta):
@@ -365,19 +348,17 @@ def grad_check(f, point, step=1e-5, tol=1e-4, exclude=None):
         x[k] += delta
         return f(x.reshape(point.shape))[0]
 
-    checked = np.flatnonzero(~exclude.ravel())
-    numeric = np.array([(f_at(k, step) - f_at(k, -step)) / (2.0 * step) for k in checked])
-    a = analytic.ravel()[checked]
+    coords = np.arange(flat.size)
+    numeric = np.array([(f_at(k, step) - f_at(k, -step)) / (2.0 * step) for k in coords])
+    a = analytic.ravel()
     with np.errstate(invalid="ignore"):  # an infinite a or n gives rel NaN
         rel = np.abs(a - numeric) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(numeric)))
     bad = ~(rel <= tol)  # NaN fails
     return GradCheckReport(
         passed=not bad.any(),
         max_rel_error=float(np.max(rel, initial=0.0)),
-        n_checked=checked.size,
-        n_excluded=flat.size - checked.size,
+        n_checked=flat.size,
         step=step,
         tol=tol,
-        failures=list(zip(*(v[bad].tolist() for v in (checked, a, numeric, rel)))),
-        excluded_indices=np.flatnonzero(exclude).tolist(),
+        failures=list(zip(*(v[bad].tolist() for v in (coords, a, numeric, rel)))),
     )

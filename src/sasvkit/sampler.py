@@ -155,9 +155,15 @@ def gen_synthetic(n_speakers, utts_per_speaker, d_in, noise, seed=0):
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_speakers, d_in))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    raw = means[:, None, :] + noise * rng.standard_normal((n_speakers, utts_per_speaker, d_in))
-    feats = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+    feats = _draw_utterances(rng, means, noise, utts_per_speaker)
     return SpeakerDataset({f"spk{i:03d}": f for i, f in enumerate(feats)}, means=means, noise=noise)
+
+
+def _draw_utterances(rng, means, noise, per_spk):
+    """`per_spk` features normalize(mean + noise * N(0, I)) per row of `means`: S x per_spk x D."""
+    n_spk, dim = means.shape
+    raw = means[:, None, :] + noise * rng.standard_normal((n_spk, per_spk, dim))
+    return raw / np.linalg.norm(raw, axis=2, keepdims=True)
 
 
 def pk_batches(dataset, cfg):
@@ -261,10 +267,7 @@ def eval_toy(model, dataset, n_trials, seed=0):
     rng = np.random.default_rng(seed)
     n_spk = dataset.n_speakers
     per_spk = max(2, math.ceil(2 * n_trials / n_spk))
-    raw = dataset.means[:, None, :] + dataset.noise * rng.standard_normal(
-        (n_spk, per_spk, dataset.d_in)
-    )
-    held = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+    held = _draw_utterances(rng, dataset.means, dataset.noise, per_spk)
     emb = model.embed(held.reshape(-1, dataset.d_in))
     n_nontarget = n_trials // 2 if n_spk > 1 else 0
     n_target = n_trials - n_nontarget

@@ -53,6 +53,8 @@ DEFAULT_REJECT_SCORE = -5.0
 # raw-cosine gather, and trial sides per cohort GEMM block
 _TRIAL_CHUNK = 512
 _SIDE_BLOCK = 64
+# floor of a cohort std, so AS-Norm's division is defined for degenerate cohorts
+_MIN_SIGMA = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,10 @@ class CohortStats:
 @dataclass(frozen=True)
 class AsNormConfig:
     top_k: int = DEFAULT_TOP_K
-    min_sigma: float = 1e-8
 
     def __post_init__(self):
-        # written so that NaN fails too
         if not (isinstance(self.top_k, numbers.Integral) and self.top_k >= 1):
             raise ValueError("top_k must be an integer >= 1")
-        if not (self.min_sigma > 0 and math.isfinite(self.min_sigma)):
-            raise ValueError("min_sigma must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -144,20 +142,14 @@ def _top_k_blocks(probes, probe_norms, cohort, top_k):
         yield block, np.ascontiguousarray(np.sort(sims[:, n - k :], axis=1)[:, ::-1])
 
 
-def cohort_stats(scores, min_sigma=1e-8):
-    """Mean and population (1/N) standard deviation of cohort scores.
-
-    sigma is floored at min_sigma so downstream division is defined for
-    degenerate cohorts.
-    """
+def cohort_stats(scores):
+    """Mean and population (1/N) standard deviation of cohort scores,
+    sigma floored at 1e-8."""
     if len(scores) == 0:
         raise EmptyList("cohort score list is empty")
     arr = np.asarray(scores, dtype=np.float64)
-    mu = float(arr.mean())
-    sigma = float(arr.std())  # population std, ddof=0
-    if sigma < min_sigma:
-        sigma = min_sigma
-    return CohortStats(mu=mu, sigma=sigma, k_used=arr.shape[0])
+    sigma = max(float(arr.std()), _MIN_SIGMA)  # population std, ddof=0
+    return CohortStats(mu=float(arr.mean()), sigma=sigma, k_used=arr.shape[0])
 
 
 def as_norm(raw, enroll_stats, test_stats):
@@ -192,7 +184,7 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
         for block, top in _top_k_blocks(mat[sides], norms[sides], cohort, cfg.top_k):
             mu[block] = top.mean(axis=1)
             sigma[block] = top.std(axis=1)
-        np.maximum(sigma, cfg.min_sigma, out=sigma)
+        np.maximum(sigma, _MIN_SIGMA, out=sigma)
         ie, it = inverse[0::2], inverse[1::2]
         scores = 0.5 * ((scores - mu[ie]) / sigma[ie] + (scores - mu[it]) / sigma[it])
     codes = list(map(LABEL_CODE.__getitem__, labels))

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -146,6 +147,26 @@ def test_readme_lists_every_subcommand():
 def test_readme_commands_parse(argv):
     args = cli._build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # the two outside files are stubbed: the detector scores are a copy of
+    # asv.txt, and the layer stack and gate are written by the library
+    monkeypatch.chdir(tmp_path)
+    fileio.write_embeddings_text(EmbeddingSet.from_matrix(
+        [f"layer{i:02d}" for i in range(5)], np.random.default_rng(0).standard_normal((5, 8))),
+        "layers.txt")
+    params = GateParams.random(4, 8, seed=1)
+    fileio.write_gate_params(params.weight, params.bias, "gate.txt")
+    for argv in _readme_commands():
+        if argv[0] == "cascade":
+            shutil.copy("asv.txt", "sd.txt")
+        code, err = main(argv), capsys.readouterr().err
+        if argv[0] == "eval":
+            # as the README says, gen-synth trials carry no spoof label
+            assert (code, err) == (2, "sasvkit: spf_eer needs target and spoof scores\n")
+        else:
+            assert (code, err) == (0, ""), argv
 
 
 def test_duplicate_score_line_is_located(tmp_path, capsys):
@@ -297,6 +318,27 @@ def test_train_toy_bad_learning_rate_exits_2_before_training(lr, monkeypatch, ca
     assert "learning_rate must be finite and > 0" in captured.err
 
 
+def test_train_toy_opens_the_history_file_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    missing = tmp_path / "missing" / "loss.txt"
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "gen_synthetic", no_work)
+        m.setattr(sampler, "train_toy", no_work)
+        assert main(["train-toy", "--history-out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sasvkit: ") and captured.err.count("\n") == 1
+    assert str(missing) in captured.err
+    # a failure after the open leaves the file empty
+    history = tmp_path / "loss.txt"
+    history.write_text("old\n")
+    assert main(["train-toy", "--steps", "5", "--lr=nan", "--history-out", str(history)]) == 2
+    assert history.read_text() == ""
+    capsys.readouterr()
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(sasvkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -349,6 +391,24 @@ def _run_cli(args, cwd):
     # a subprocess with a timeout: an endless loop fails instead of hanging
     return subprocess.run([sys.executable, "-m", "sasvkit.cli", *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_text_is_written_as_utf8_whatever_the_locale(tmp_path):
+    (tmp_path / "sd.txt").write_bytes("caf\u00e9 t1 0.1 target\ne2 t2 0.9 spoof\n".encode())
+    (tmp_path / "asv.txt").write_bytes("caf\u00e9 t1 2.0 target\ne2 t2 1.0 spoof\n".encode())
+    src = str(Path(sasvkit.__file__).resolve().parents[1])
+    written = []
+    # the C locale without coercion or UTF-8 mode makes ASCII the locale encoding
+    for locale_env in ({"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"},
+                       {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}):
+        result = subprocess.run(
+            [sys.executable, "-m", "sasvkit.cli", "cascade", "--sd-scores", "sd.txt",
+             "--asv-scores", "asv.txt", "--threshold", "0.5", "--out", "out.txt"],
+            env=dict(os.environ, PYTHONPATH=src, **locale_env), cwd=tmp_path,
+            capture_output=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        written.append((tmp_path / "out.txt").read_bytes())
+    assert written[0] == written[1] == "caf\u00e9 t1 -5.0 target\ne2 t2 1.0 spoof\n".encode()
 
 
 @pytest.mark.parametrize("n_trials", ["5", "-1"])

@@ -74,15 +74,6 @@ def test_ids_are_opaque():
     assert "a.wav" not in s
 
 
-def test_trial_label_tokens():
-    assert TrialLabel.from_token("target") is TrialLabel.TARGET
-    assert TrialLabel.from_token("nontarget") is TrialLabel.NONTARGET
-    assert TrialLabel.from_token("spoof") is TrialLabel.SPOOF
-    for bad in ("Target", "TARGET", "bonafide", ""):
-        with pytest.raises(ValueError):
-            TrialLabel.from_token(bad)
-
-
 def test_trial_requires_ids():
     with pytest.raises(ValueError):
         Trial("", "t")

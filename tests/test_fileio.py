@@ -246,7 +246,8 @@ def test_write_gate_params_rejects_non_finite_values():
 
 
 def test_label_fields_are_the_three_labels():
-    for text in ("e t 1.0 unlabeled\n", "e t 1.0 Target\n"):
+    for text in ("e t 1.0 unlabeled\n", "e t 1.0 Target\n", "e t 1.0 TARGET\n",
+                 "e t 1.0 bonafide\n"):
         with pytest.raises(ParseError, match="unknown label"):
             parse_scores(io.StringIO(text))
     with pytest.raises(ParseError, match="unknown label"):
@@ -488,6 +489,20 @@ def test_rejected_write_leaves_a_path_untouched(tmp_path):
     # a test ID is never a line's first field, so it may start with '#'
     write_trials([Trial("e", "#t", TrialLabel.SPOOF)], str(absent))
     assert parse_trials(str(absent)) == [Trial("e", "#t", TrialLabel.SPOOF)]
+
+
+def test_text_embedding_writer_rejects_a_first_id_that_starts_with_the_magic(tmp_path):
+    # parse_embeddings would read such a file as binary
+    path = tmp_path / "emb.txt"
+    for uid in ("SASVEMB1", "SASVEMB1x"):
+        embs = EmbeddingSet.from_matrix([uid, "b"], np.ones((2, 2)))
+        with pytest.raises(ValueError, match=f"^ID '{uid}' cannot start a text embedding file"):
+            write_embeddings_text(embs, str(path))
+        assert not path.exists()
+    # only the file's first bytes are sniffed
+    for ids in (["SASVEMB", "b"], ["b", "SASVEMB1"]):
+        write_embeddings_text(EmbeddingSet.from_matrix(ids, np.ones((2, 2))), str(path))
+        assert parse_embeddings(str(path)).ids() == ids
 
 
 @pytest.mark.parametrize("parse", [parse_scores, parse_trials,

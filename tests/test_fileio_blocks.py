@@ -111,6 +111,22 @@ def test_a_line_longer_than_many_blocks_is_read_in_linear_time():
         assert time.perf_counter() - t0 < 2.0
 
 
+def test_a_long_line_of_an_unbuffered_stream_is_read_in_linear_time():
+    # a raw stream's own readline reads one byte at a time
+    line = b"x" * (1 << 20)
+    stream = _OneShot(line + b"\n" + line + b"\n")
+    t0 = time.perf_counter()
+    assert list(fileio._lines(stream)) == [(1, [line.decode()]), (2, [line.decode()])]
+    assert time.perf_counter() - t0 < 2.0
+    # the buffer is detached when the lines end or the reader is dropped
+    assert not stream.closed
+    stream = _OneShot(b"a\nb\n")
+    lines = fileio._lines(stream)
+    assert next(lines) == (1, ["a"])
+    lines.close()
+    assert not stream.closed
+
+
 # located errors on a stream that cannot be re-read: repeats, non-finite and
 # zero rows are found after the read, from the line numbers it recorded
 @pytest.mark.parametrize("parse, text, exc_type, message", [

@@ -264,6 +264,13 @@ def test_grad_check_quadratic():
     assert report.passed and report.max_rel_error < 1e-8
 
 
+def test_grad_check_report_line():
+    # a linear f and a step that is a power of two: the differences are exact
+    report = grad_check(lambda x: (2.0 * float(x.sum()), np.full_like(x, 2.0)),
+                        np.array([[3.0, 1.0], [0.5, -2.0]]), step=0.5)
+    assert str(report) == "grad_check PASS: max_rel_error=0.000e+00 checked=4 step=0.5 tol=0.0001"
+
+
 @pytest.mark.parametrize("name, bad", [(n, v) for n in ("step", "tol")
                                         for v in (0.0, -1e-5, math.nan, math.inf, -math.inf)])
 def test_grad_check_rejects_a_bad_step_or_tolerance(name, bad):
@@ -272,22 +279,6 @@ def test_grad_check_rejects_a_bad_step_or_tolerance(name, bad):
 
     with pytest.raises(ValueError, match=f"^{name} must be finite and > 0$"):
         grad_check(f, np.array([3.0]), **{name: bad})
-
-
-def test_grad_check_reports_exclusions():
-    # target angle ~0: cosine clamp active, coordinate excluded by mask
-    batch = LossBatch([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [0])
-
-    def f(x):
-        loss, g, _ = sphereface_loss(LossBatch(x, batch.class_weights, [0]))
-        return loss, g
-
-    exclude = np.array([[True, True]])
-    report = grad_check(f, batch.embeddings, exclude=exclude)
-    assert report.n_excluded == 2
-    assert report.excluded_indices == [0, 1]
-    assert report.n_checked == 0
-    assert "PASS" in str(report)
 
 
 @st.composite
