@@ -13,21 +13,21 @@ an Embedding's checks to whole rows at once, as do construction from
 Embeddings and `add`; members are handed out as Embeddings viewing
 their row.
 
-A ScoreSet is columnar: a list of enroll IDs, a list of test IDs, an
-int8 label code per record (the label's index in LABELS), a float64
-score array and one (enroll, test) -> row dict, which is also the
-duplicate check. `ScoreSet.from_columns` validates whole columns at
-once, and `append` goes through the same checks. A set derived from
-another (`with_scores`, used by cascade and ensemble) shares the
-source's key columns, index and labels and holds only a new score
-array; `append` builds new columns rather than changing shared ones.
-`scores_in_order_of` aligns a second set to a set's row order with one
-dict lookup per key, after which combining scores is array arithmetic.
+A ScoreSet is columnar: a vocabulary (a dict coding each ID 0, 1, ...
+in insertion order), one int64 key per record (enroll code << 32 | test
+code) with the keys' stable argsort order, int8 label codes (the label's
+index in LABELS) and float64 scores. The sorted keys are the duplicate
+check; `in`, `score_of` and `scores_in_order_of` find keys with
+`searchsorted`, after one dict lookup per ID of another vocabulary. No
+set changes a vocabulary it holds, so sets share them: `score_trials`
+codes IDs by EmbeddingSet row, and a set derived by `with_scores` (in
+cascade and ensemble) shares all but the scores; `append` builds new
+columns, and a new vocabulary for a new ID.
 """
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from enum import Enum
-from itertools import groupby
+from itertools import count, groupby, repeat
 
 import numpy as np
 
@@ -210,6 +210,7 @@ LABEL_CODE = {label: code for code, label in enumerate(LABELS)}
 _UNLABELED = LABEL_CODE[TrialLabel.UNLABELED]
 # a label field's token -> code; an unlabeled trial has no label field
 TOKEN_CODE = {label.value: code for label, code in LABEL_CODE.items() if code != _UNLABELED}
+_TEST_CODE = (1 << 32) - 1  # the low bits of a ScoreSet key
 
 
 class ScoreSet:
@@ -222,7 +223,8 @@ class ScoreSet:
     def __init__(self, records=()):
         trials, scores = tuple(zip(*records)) or ((), ())
         enroll, test, labels = tuple(zip(*trials)) or ((), (), ())
-        self._set_columns(enroll, test, list(map(LABEL_CODE.__getitem__, labels)), scores)
+        codes = list(map(LABEL_CODE.__getitem__, labels))
+        vars(self).update(vars(ScoreSet.from_columns(enroll, test, codes, scores)))
 
     @classmethod
     def from_columns(cls, enroll, test, labels, scores):
@@ -234,35 +236,38 @@ class ScoreSet:
         appending the records one by one would; the exception's `row` is
         that record's row.
         """
-        out = cls.__new__(cls)
-        out._set_columns(enroll, test, labels, scores)
-        return out
+        vocab = defaultdict(count().__next__)  # codes in order of first appearance
+        enroll, test = (np.fromiter(map(vocab.__getitem__, c), np.int64) for c in (enroll, test))
+        vocab.default_factory = None
+        return cls._of_codes(vocab, enroll, test, labels, scores)
 
-    def _set_columns(self, enroll, test, labels, scores):
-        enroll, test = list(enroll), list(test)
-        labels = np.array(labels, dtype=np.int8)
-        scores = np.array(scores, dtype=np.float64)
-        n = len(enroll)
-        if not (len(test) == labels.size == scores.size == n and scores.ndim == 1):
+    @classmethod
+    def _of_codes(cls, vocab, enroll, test, labels, scores, order=None):
+        """`from_columns` of IDs given as codes of `vocab`, a dict coding
+        its IDs 0, 1, ... in insertion order, which the set then shares;
+        `order` is the keys' stable argsort order, when the caller has it."""
+        enroll, test = np.asarray(enroll, np.int64), np.asarray(test, np.int64)
+        labels, scores = np.array(labels, np.int8), np.array(scores, np.float64)
+        n = enroll.size
+        if not (test.size == labels.size == scores.size == n and scores.ndim == 1):
             raise ValueError("score set columns differ in length")
-        if not (all(enroll) and all(test)):
+        if not all(vocab):
             raise ValueError("trial IDs must be non-empty")
         if n and not (labels.min() >= 0 and labels.max() < len(LABELS)):
             raise ValueError("unknown label code")
-        index = dict(zip(zip(enroll, test), range(n)))
-        duplicate = n
-        if len(index) < n:
-            seen = set()
-            for duplicate, key in enumerate(zip(enroll, test)):
-                if key in seen:
-                    break
-                seen.add(key)
-        self._enroll, self._test, self._index = enroll, test, index
+        out = cls.__new__(cls)
+        out._vocab, out._keys = vocab, _readonly(enroll << 32 | test)
+        order = np.argsort(out._keys, kind="stable") if order is None else order
+        ordered = out._keys[order]
+        # the stable order puts each record after the earlier ones with its key
+        repeats = order[1:][ordered[1:] == ordered[:-1]]
+        duplicate = int(repeats.min()) if repeats.size else n
         # a record with a non-finite score fails before it is a duplicate
-        self._check_finite(scores[: duplicate + 1])
+        out._check_finite(scores[: duplicate + 1])
         if duplicate < n:
-            raise _at_row(DuplicateTrial(f"duplicate trial {self._key(duplicate)}"), duplicate)
-        self._labels, self._scores = _readonly(labels), _readonly(scores)
+            raise _at_row(DuplicateTrial(f"duplicate trial {out._key(duplicate)}"), duplicate)
+        out._order, out._labels, out._scores = map(_readonly, (order, labels, scores))
+        return out
 
     def _check_finite(self, scores):
         """Raise ValueError for the first non-finite score."""
@@ -272,58 +277,88 @@ class ScoreSet:
             raise _at_row(ValueError(f"non-finite score for trial {self._key(row)}"), row)
 
     def _key(self, row):
-        return (self._enroll[row], self._test[row])
+        ids, key = list(self._vocab), int(self._keys[row])
+        return ids[key >> 32], ids[key & _TEST_CODE]
+
+    def _rows(self, vocab, keys):
+        """The row of each of `keys`, coded in `vocab`, or -1 where the set
+        lacks it; another vocabulary costs one dict lookup per ID."""
+        if vocab is not self._vocab:  # an unknown ID's code -1 makes a key < 0
+            code = np.fromiter(map(self._vocab.get, vocab, repeat(-1)), np.int64, len(vocab))
+            keys = code[keys >> 32] << 32 | code[keys & _TEST_CODE]
+        if not len(self):
+            return np.full(len(keys), -1)
+        rows = self._order.take(np.searchsorted(self._keys, keys, sorter=self._order), mode="clip")
+        return np.where(self._keys[rows] == keys, rows, -1)
+
+    def _row(self, key):
+        """The row of an (enroll, test) pair, or -1."""
+        vocab = self._vocab
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] in vocab and key[1] in vocab):
+            return -1
+        return self._rows(vocab, np.array([vocab[key[0]] << 32 | vocab[key[1]]]))[0]
 
     def with_scores(self, scores):
         """A set of this set's records, in this order and with these
-        labels, holding new scores; it shares this set's key columns.
-        Raises ValueError on the first non-finite score."""
+        labels, holding new scores; it shares this set's vocabulary, keys
+        and labels. Raises ValueError on the first non-finite score."""
         scores = np.array(scores, dtype=np.float64)
         if scores.shape != self._scores.shape:
             raise ValueError("score set columns differ in length")
         self._check_finite(scores)
         out = ScoreSet.__new__(ScoreSet)
-        out._enroll, out._test, out._index = self._enroll, self._test, self._index
-        out._labels, out._scores = self._labels, _readonly(scores)
+        vars(out).update(vars(self), _scores=_readonly(scores))
         return out
 
     def scores_in_order_of(self, other):
         """This set's scores in the row order of `other`, or None when
         the two sets do not cover the same (enroll, test) pairs."""
-        if self._index is other._index:
+        if other._keys is self._keys:
             return self._scores
-        if len(self) != len(other):
-            return None
-        try:
-            rows = np.fromiter(map(self._index.__getitem__, other._index), np.intp, len(other))
-        except KeyError:
-            return None
-        return self._scores[rows]
+        rows = self._rows(other._vocab, other._keys) if len(self) == len(other) else None
+        return None if rows is None or (rows < 0).any() else self._scores[rows]
 
     def append(self, trial, score):
         """Add one record through the `from_columns` checks; the set
         takes on the new columns only after they pass. Each call copies
         every column, O(N); build a large set in bulk with
         `ScoreSet(records)` or `from_columns`."""
-        vars(self).update(vars(ScoreSet.from_columns(
-            self._enroll + [trial.enroll_id], self._test + [trial.test_id],
-            np.append(self._labels, LABEL_CODE[trial.label]), np.append(self._scores, score))))
+        vocab, ids = self._vocab, (trial.enroll_id, trial.test_id)
+        if new := {*ids} - vocab.keys():  # a new dict, as other sets may share this one
+            vocab = {**vocab, **dict(zip(new, count(len(vocab))))}
+        enroll, test = map(vocab.__getitem__, ids)
+        row = np.searchsorted(self._keys, enroll << 32 | test, "right", self._order)
+        vars(self).update(vars(ScoreSet._of_codes(
+            vocab, np.append(self._keys >> 32, enroll), np.append(self._keys & _TEST_CODE, test),
+            np.append(self._labels, LABEL_CODE[trial.label]), np.append(self._scores, score),
+            np.insert(self._order, row, len(self)))))
+
+    def _records(self, size=1 << 62):
+        """(enroll IDs, test IDs, label codes, scores) lists of each run
+        of `size` records in order; one run, maybe empty, by default."""
+        ids = np.fromiter(self._vocab, object, len(self._vocab))
+        for lo in range(0, len(self) or 1, size):
+            keys, run = self._keys[lo : lo + size], slice(lo, lo + size)
+            yield (ids[keys >> 32].tolist(), ids[keys & _TEST_CODE].tolist(),
+                   self._labels[run].tolist(), self._scores[run].tolist())
 
     def __len__(self):
-        return len(self._enroll)
+        return len(self._keys)
 
     def __iter__(self):
-        labels = map(LABELS.__getitem__, self._labels.tolist())
-        return zip(map(Trial._make, zip(self._enroll, self._test, labels)), self._scores.tolist())
+        enroll, test, labels, scores = next(self._records())
+        return zip(map(Trial._make, zip(enroll, test, map(LABELS.__getitem__, labels))), scores)
 
     def __contains__(self, key):
-        return key in self._index
+        return self._row(key) >= 0
 
     def score_of(self, key):
-        return float(self._scores[self._index[key]])
+        if (row := self._row(key)) < 0:
+            raise KeyError(key)
+        return float(self._scores[row])
 
     def keys(self):
-        return list(self._index)
+        return list(zip(*next(self._records())[:2]))
 
     def scores(self):
         return self._scores.copy()
@@ -331,7 +366,8 @@ class ScoreSet:
     def columns(self):
         """(enroll IDs, test IDs, label codes, scores): two tuples and
         two read-only arrays, in record order."""
-        return tuple(self._enroll), tuple(self._test), self._labels, self._scores
+        enroll, test, _, _ = next(self._records())
+        return tuple(enroll), tuple(test), self._labels, self._scores
 
 
 def partition_scores(scores):

@@ -9,13 +9,14 @@ besides its result does not grow with the file size; an error found
 after the read (a repeated ID or trial, a non-finite or zero row) takes
 its line number from the record's line that the parser kept. The enroll
 and test IDs of trial and score files are interned, so each distinct ID
-is one string however many lines and files repeat it.
+is one string however many lines and files repeat it; `parse_scores`
+codes the IDs as it reads them (a ScoreSet keeps codes, see `core`).
 
 The writers encode text as UTF-8, separate fields with one space and
 raise ValueError, before the target is opened, for an ID that would not
 read back as the same field: an empty one, one holding whitespace, a
 line's first field starting with `#`, or a text embedding file's first
-ID starting with the binary magic.
+ID starting with the binary magic. Scores are written a run at a time.
 
 Text embedding file: one `<id> <v1> ... <vD>` line per utterance.
 Values are written as shortest round-trip decimals of the 32-bit stored
@@ -46,6 +47,8 @@ import struct
 import sys
 import zlib
 from array import array
+from collections import defaultdict
+from itertools import count
 
 import numpy as np
 
@@ -54,6 +57,7 @@ from .errors import DimensionDrift, DuplicateId, DuplicateTrial, ParseError
 
 MAGIC = b"SASVEMB1"
 _BLOCK = 1 << 16  # bytes (or characters) a text reader reads at a time
+_RECORDS = 1024  # records the score writer formats and writes at a time
 
 # a label code's optional last field, as the writers append it
 _LABEL_SUFFIX = tuple("" if code == _UNLABELED else " " + label.value
@@ -61,15 +65,16 @@ _LABEL_SUFFIX = tuple("" if code == _UNLABELED else " " + label.value
 
 
 def _write_all(data, path_or_stream):
-    """Write str or bytes to a stream, or to a path it then replaces (str
-    as UTF-8, whatever the locale)."""
+    """Write str or bytes, or each of an iterable of them, to a stream,
+    or to a path it then replaces (str as UTF-8, whatever the locale)."""
+    pieces = [data] if isinstance(data, (str, bytes)) else data
     if hasattr(path_or_stream, "write"):
-        path_or_stream.write(data)
-    else:
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        with open(path_or_stream, "wb") as fh:
-            fh.write(data)
+        for piece in pieces:
+            path_or_stream.write(piece)
+        return
+    with open(path_or_stream, "wb") as fh:
+        for piece in pieces:
+            fh.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
 
 
 def _lines(path_or_stream, head=None):
@@ -219,6 +224,8 @@ def parse_embeddings(path_or_stream, format="auto"):
         with open(path_or_stream, "rb") as fh:
             return parse_embeddings(fh, format)
     head = None if format == "text" else path_or_stream.read(len(MAGIC))
+    while head and len(head) < len(MAGIC) and (more := path_or_stream.read(len(MAGIC) - len(head))):
+        head += more  # a raw stream may return the magic in several reads
     if format == "binary" or head == MAGIC:
         # the whole body, for its checksum
         return _parse_embeddings_binary(head + path_or_stream.read())
@@ -271,18 +278,20 @@ def write_trials(trials, path_or_stream):
 
 
 def parse_scores(path_or_stream):
-    enroll, test, labels, scores, linenos = [], [], array("b"), array("d"), array("q")
+    vocab = defaultdict(count().__next__)  # codes in order of first appearance
+    enroll, test, linenos, labels, scores = map(array, "qqqbd")
     for lineno, fields in _lines(path_or_stream):
         labels.append(_label_code(fields, 3, lineno))
         try:
             scores.append(float(fields[2]))
         except ValueError:
             raise ParseError(f"bad score {fields[2]!r}", line=lineno) from None
-        enroll.append(sys.intern(fields[0]))
-        test.append(sys.intern(fields[1]))
+        enroll.append(vocab[fields[0]])
+        test.append(vocab[fields[1]])
         linenos.append(lineno)
+    vocab = dict(zip(map(sys.intern, vocab), vocab.values()))  # as parse_trials' IDs
     try:
-        return ScoreSet.from_columns(enroll, test, labels, scores)
+        return ScoreSet._of_codes(vocab, enroll, test, labels, scores)
     except DuplicateTrial as e:
         raise DuplicateTrial(f"{e} (line {linenos[e.row]})") from None
     except ValueError as e:
@@ -290,12 +299,11 @@ def parse_scores(path_or_stream):
 
 
 def write_scores(scores, path_or_stream):
-    enroll, test, labels, values = scores.columns()
-    _check_ids(enroll, first=True)
-    _check_ids(test, first=False)
-    _write_all("".join([f"{e} {t} {v!r}{_LABEL_SUFFIX[c]}\n"
-                        for e, t, v, c in zip(enroll, test, values.tolist(), labels.tolist())]),
-               path_or_stream)
+    for column, first in ((0, True), (1, False)):  # every enroll ID, then every test ID
+        for run in scores._records(_RECORDS):
+            _check_ids(run[column], first)
+    _write_all(("".join([f"{e} {t} {v!r}{_LABEL_SUFFIX[c]}\n" for e, t, c, v in zip(*run)])
+                for run in scores._records(_RECORDS)), path_or_stream)
 
 
 # ------------------------------------------------------------------- gates

@@ -277,7 +277,7 @@ def eval_toy(model, dataset, n_trials, seed=0):
         raise ZeroNorm("cosine undefined for zero-norm vector")
     ids = [f"{sid}-ho{u:03d}" for sid in dataset.speaker_ids for u in range(per_spk)]
     codes = [LABEL_CODE[TrialLabel.TARGET], LABEL_CODE[TrialLabel.NONTARGET]]
-    return ScoreSet.from_columns(
-        [ids[e] for e in enroll.tolist()], [ids[t] for t in test.tolist()],
+    return ScoreSet._of_codes(
+        dict(zip(ids, count())), enroll, test,
         np.repeat(codes, (n_target, n_nontarget)), _pair_cosines(emb, norms, enroll, test),
     )

@@ -49,8 +49,8 @@ from .errors import (
 DEFAULT_TOP_K = 300
 DEFAULT_REJECT_SCORE = -5.0
 
-# bound the float64 temporaries of score_trials: trial pairs per
-# raw-cosine gather, and trial sides per cohort GEMM block
+# bound the float64 temporaries of score_trials: matrix rows per norm
+# and trial pairs per raw-cosine gather, and trial sides per cohort GEMM block
 _TRIAL_CHUNK = 512
 _SIDE_BLOCK = 64
 # floor of a cohort std, so AS-Norm's division is defined for degenerate cohorts
@@ -175,8 +175,10 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
         raise MissingEmbedding(f"no embedding for ID {e.args[0]!r}") from None
     if not enroll_ids:
         return ScoreSet()
-    mat = embeddings.matrix()
-    norms = np.linalg.norm(mat.astype(np.float64), axis=1)
+    mat, norms = embeddings.matrix(), np.empty(len(embeddings))
+    for lo in range(0, len(mat), _TRIAL_CHUNK):  # rows reduce alone: chunks change no bit
+        chunk = slice(lo, lo + _TRIAL_CHUNK)
+        norms[chunk] = np.linalg.norm(mat[chunk].astype(np.float64), axis=1)
     scores = _pair_cosines(mat, norms, rows[0::2], rows[1::2])
     if cohort is not None:
         sides, inverse = np.unique(rows, return_inverse=True)
@@ -188,7 +190,8 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
         ie, it = inverse[0::2], inverse[1::2]
         scores = 0.5 * ((scores - mu[ie]) / sigma[ie] + (scores - mu[it]) / sigma[it])
     codes = list(map(LABEL_CODE.__getitem__, labels))
-    return ScoreSet.from_columns(enroll_ids, test_ids, codes, scores)
+    # the rows are the IDs' codes in the embeddings' ID -> row dict
+    return ScoreSet._of_codes(embeddings._index, rows[0::2], rows[1::2], codes, scores)
 
 
 def _pair_cosines(mat, norms, enroll, test):

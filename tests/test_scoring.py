@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -461,3 +462,24 @@ def test_columnar_ops_match_per_key_composition(case):
                 cascade(other, a, cfg)
             with pytest.raises(TrialMismatch):
                 ensemble([a, other])
+
+
+def test_raw_scoring_allocates_less_than_a_float64_copy_of_the_embeddings():
+    rng = np.random.default_rng(0)
+    n, d = 2000, 192
+    embs = EmbeddingSet.from_matrix([f"u{i}" for i in range(n)],
+                                    rng.standard_normal((n, d)).astype(np.float32))
+    ids = embs.ids()
+    trials = [Trial(ids[p // n], ids[p % n], TrialLabel.TARGET)
+              for p in rng.choice(n * n, 20000, replace=False).tolist()]
+    # norms and cosines a chunk of rows at a time, and a set of int64
+    # keys: about 2.4 MB in all; a float64 copy of the matrix for the
+    # norms and a key dict took about 7 MB
+    tracemalloc.start()
+    try:
+        scores = score_trials(trials, embs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scores) == len(trials)
+    assert peak < n * d * 8
