@@ -215,10 +215,10 @@ def _cmd_moe_demo(args):
     stack = moe.LayerStack(layers.matrix())
     weight, bias = fileio.parse_gate_params(args.gate)
     params = moe.GateParams(weight=weight, bias=bias, top_k=args.top_k)
-    probs, weights, fused = moe._fuse(stack, params, unweighted=args.unweighted)
+    probs, selected, weights, fused = moe._fuse(stack, params, unweighted=args.unweighted)
     print("gate_probs=" + " ".join(f"{p:.6f}" for p in probs))
-    print("selected=" + " ".join(str(i) for i in np.flatnonzero(weights)))
-    print("weights=" + " ".join(f"{w:.6f}" for w in weights[weights > 0]))
+    print("selected=" + " ".join(str(i) for i in sorted(selected)))
+    print("weights=" + " ".join(f"{weights[i]:.6f}" for i in sorted(selected)))
     print("fused=" + " ".join(repr(float(v)) for v in fused))
     return EXIT_OK
 

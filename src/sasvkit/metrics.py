@@ -89,6 +89,9 @@ def eer(positive, negative):
     neg = np.sort(np.asarray(negative, dtype=np.float64))
     if pos.size == 0 or neg.size == 0:
         raise EmptyClass("eer needs at least one score in each class")
+    for name, arr in (("positive", pos), ("negative", neg)):
+        if np.isnan(arr[-1]):  # np.sort puts NaN last
+            raise ValueError(f"eer got a NaN {name} score")
     taus, frr, far = _sweep(pos, neg)
     idx = int(np.argmin(np.abs(frr - far)))  # first minimum = lowest tau
     return float((frr[idx] + far[idx]) / 2.0), float(taus[idx])

@@ -4,8 +4,8 @@ The final layer's embedding drives a softmax gate over the remaining
 layers; only the k most probable layers survive (ties broken by lower
 index), their probabilities are renormalized, and the weighted layers
 are summed with the final-layer embedding. An `unweighted` switch
-replaces the renormalized weights with 1.0, i.e. a plain sum of the
-selected layers.
+replaces the renormalized weights with 1.0, i.e. a plain sum of every
+selected layer, including one whose gate probability underflowed to 0.
 """
 
 import numbers
@@ -32,10 +32,6 @@ class LayerStack:
     @property
     def n_layers(self):
         return self.layers.shape[0]
-
-    @property
-    def dim(self):
-        return self.layers.shape[1]
 
     @property
     def final(self):
@@ -74,12 +70,10 @@ def gate_probs(final_emb, params):
     """Softmax distribution over the non-final layers."""
     final_emb = np.asarray(final_emb, dtype=np.float64)
     if params.weight.shape[1] != final_emb.shape[0]:
-        raise DimensionMismatch(
-            f"gate expects dim {params.weight.shape[1]}, got {final_emb.shape[0]}"
-        )
+        raise DimensionMismatch(f"gate expects dim {params.weight.shape[1]}, "
+                                f"got {final_emb.shape[0]}")
     logits = params.weight @ final_emb + params.bias
-    z = logits - logits.max()
-    e = np.exp(z)
+    e = np.exp(logits - logits.max())
     return e / e.sum()
 
 
@@ -87,31 +81,36 @@ def top_k_mask(probs, k):
     """Keep the k largest probabilities, renormalized; zero the rest.
 
     Ties are broken toward the lower index. Exactly k entries are
-    nonzero (k may equal the full length).
+    selected (k may equal the full length); a selected probability that
+    underflowed to 0 is a zero weight.
     """
+    return _select(probs, k)[1]
+
+
+def _select(probs, k):
+    """(the k selected indices, most probable first; `top_k_mask`'s weights)."""
     probs = np.asarray(probs, dtype=np.float64)
     if not 1 <= k <= probs.shape[0]:
         raise BadK(f"k={k} outside [1, {probs.shape[0]}]")
-    order = np.argsort(-probs, kind="stable")  # stable: ties keep lower index
-    selected = order[:k]
-    out = np.zeros_like(probs)
-    out[selected] = probs[selected] / probs[selected].sum()
-    return out
+    selected = np.argsort(-probs, kind="stable")[:k]  # stable: ties keep lower index
+    weights = np.zeros_like(probs)
+    # the renormalizer sums most probable first, not in index order
+    weights[selected] = probs[selected] / probs[selected].sum()
+    return selected, weights
 
 
 def _fuse(stack, params, unweighted=False):
-    """(gate probabilities, weights of the L-1 non-final layers, fused
-    vector) of `fuse`: min(top_k, L-1) layers keep their renormalized
-    probability, or 1.0."""
+    """(gate probabilities, selected layer indices, weights of the L-1
+    non-final layers, fused vector) of `fuse`: the min(top_k, L-1)
+    selected layers keep their renormalized probability, or 1.0."""
     if params.weight.shape[0] != stack.n_layers - 1:
-        raise DimensionMismatch(
-            f"gate has {params.weight.shape[0]} outputs for "
-            f"{stack.n_layers - 1} candidate layers"
-        )
+        raise DimensionMismatch(f"gate has {params.weight.shape[0]} outputs for "
+                                f"{stack.n_layers - 1} candidate layers")
     probs = gate_probs(stack.final, params)
-    mask = top_k_mask(probs, min(params.top_k, stack.n_layers - 1))
-    weights = (mask > 0).astype(np.float64) if unweighted else mask
-    return probs, weights, stack.final + weights @ stack.layers[:-1]
+    selected, weights = _select(probs, min(params.top_k, stack.n_layers - 1))
+    if unweighted:
+        weights[selected] = 1.0
+    return probs, selected, weights, stack.final + weights @ stack.layers[:-1]
 
 
 def fuse(stack, params, unweighted=False):
@@ -121,4 +120,4 @@ def fuse(stack, params, unweighted=False):
     layers, with w the renormalized gate probabilities (or 1.0 each when
     unweighted).
     """
-    return _fuse(stack, params, unweighted)[2]
+    return _fuse(stack, params, unweighted)[3]

@@ -25,7 +25,6 @@ from .errors import (
     DivergenceDetected,
     InvalidBatch,
     TooFewSpeakers,
-    ZeroNorm,
 )
 from .losses import LossBatch, combined_loss
 from .scoring import _pair_cosines
@@ -96,10 +95,6 @@ class ToyModel:
             and np.all(np.isfinite(self.class_weights))
         ):
             raise BadParams("non-finite model parameters")
-
-    @property
-    def d_emb(self):
-        return self.projection.shape[0]
 
     def embed(self, features):
         """Raw (un-normalized) embeddings of a feature matrix."""
@@ -273,8 +268,6 @@ def eval_toy(model, dataset, n_trials, seed=0):
     n_target = n_trials - n_nontarget
     enroll, test = _draw_pairs(rng, n_spk, per_spk, n_target, n_nontarget)
     norms = np.linalg.norm(emb, axis=1)
-    if not (norms[enroll].all() and norms[test].all()):
-        raise ZeroNorm("cosine undefined for zero-norm vector")
     ids = [f"{sid}-ho{u:03d}" for sid in dataset.speaker_ids for u in range(per_spk)]
     codes = [LABEL_CODE[TrialLabel.TARGET], LABEL_CODE[TrialLabel.NONTARGET]]
     return ScoreSet._of_codes(

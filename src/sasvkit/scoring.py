@@ -20,10 +20,10 @@ distinct side: one GEMM of a block of sides against the whole cohort,
 those K values sorted in descending order, so that the summation order,
 and the result, do not depend on how ties were ordered. AS-Norm is then
 one vectorized expression over all trials.
-`top_k_cohort_scores`, `cohort_stats` and `as_norm` are the same
-computation for a single side; BLAS may sum the dot products of a
-block in another order than those of a single probe, so the two agree
-to a few ulps rather than bit for bit.
+`cosine`, `top_k_cohort_scores`, `cohort_stats` and `as_norm` are the
+N = 1 case of those kernels: one pair, one probe, one side. Only the
+top-K cosines may differ, by a few ulps, because BLAS may sum the dot
+products of one probe in another order than those of a block of probes.
 
 All functions are pure; scores are float64 throughout.
 """
@@ -94,16 +94,13 @@ class CascadeConfig:
 
 
 def cosine(a, b):
-    """Cosine similarity of two vectors, clamped to [-1, 1]."""
+    """Cosine similarity of two 1-D vectors of one length, clamped to [-1, 1]."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
+    if a.ndim != 1 or a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNorm("cosine undefined for zero-norm vector")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    mat = np.stack((a, b))
+    return float(_pair_cosines(mat, np.linalg.norm(mat, axis=1), [0], [1])[0])
 
 
 def top_k_cohort_scores(probe, cohort, top_k):
@@ -113,6 +110,7 @@ def top_k_cohort_scores(probe, cohort, top_k):
     are broken.
     """
     values = np.asarray(probe.values, dtype=np.float64)[None, :]
+    top_k = AsNormConfig(top_k).top_k
     _, top = next(_top_k_blocks(values, np.linalg.norm(values, axis=1), cohort, top_k))
     return top[0].tolist()
 
@@ -123,12 +121,9 @@ def _top_k_blocks(probes, probe_norms, cohort, top_k):
     descending."""
     if len(cohort) == 0:
         raise EmptyCohort("cohort set is empty")
-    if not (isinstance(top_k, numbers.Integral) and top_k >= 1):
-        raise ValueError("top_k must be an integer >= 1")
     if cohort.dim != probes.shape[1]:
-        raise DimensionMismatch(
-            f"probe dimension {probes.shape[1]} vs cohort dimension {cohort.dim}"
-        )
+        raise DimensionMismatch(f"probe dimension {probes.shape[1]} "
+                                f"vs cohort dimension {cohort.dim}")
     coh = cohort.matrix().astype(np.float64)
     coh_norms = np.linalg.norm(coh, axis=1)
     n = coh.shape[0]
@@ -143,21 +138,29 @@ def _top_k_blocks(probes, probe_norms, cohort, top_k):
 
 
 def cohort_stats(scores):
-    """Mean and population (1/N) standard deviation of cohort scores,
-    sigma floored at 1e-8."""
-    if len(scores) == 0:
-        raise EmptyList("cohort score list is empty")
+    """Mean and population (1/N) standard deviation of a 1-D list of
+    finite cohort scores, sigma floored at 1e-8."""
     arr = np.asarray(scores, dtype=np.float64)
-    sigma = max(float(arr.std()), _MIN_SIGMA)  # population std, ddof=0
-    return CohortStats(mu=float(arr.mean()), sigma=sigma, k_used=arr.shape[0])
+    if arr.ndim != 1 or not np.isfinite(arr).all():
+        raise ValueError("cohort scores must be a 1-D list of finite values")
+    if len(arr) == 0:
+        raise EmptyList("cohort score list is empty")
+    mu, sigma = _side_stats(arr[None, :])
+    return CohortStats(mu=float(mu[0]), sigma=float(sigma[0]), k_used=len(arr))
+
+
+def _side_stats(top):
+    """Mean and population std, floored at _MIN_SIGMA, of each row of `top`."""
+    return top.mean(axis=1), np.maximum(top.std(axis=1), _MIN_SIGMA)
 
 
 def as_norm(raw, enroll_stats, test_stats):
     """Symmetric adaptive score normalization of one raw score."""
-    return 0.5 * (
-        (raw - enroll_stats.mu) / enroll_stats.sigma
-        + (raw - test_stats.mu) / test_stats.sigma
-    )
+    return _as_norm(raw, enroll_stats.mu, enroll_stats.sigma, test_stats.mu, test_stats.sigma)
+
+
+def _as_norm(raw, mu_e, sigma_e, mu_t, sigma_t):
+    return 0.5 * ((raw - mu_e) / sigma_e + (raw - mu_t) / sigma_t)
 
 
 def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
@@ -184,11 +187,9 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
         sides, inverse = np.unique(rows, return_inverse=True)
         mu, sigma = np.empty(len(sides)), np.empty(len(sides))
         for block, top in _top_k_blocks(mat[sides], norms[sides], cohort, cfg.top_k):
-            mu[block] = top.mean(axis=1)
-            sigma[block] = top.std(axis=1)
-        np.maximum(sigma, _MIN_SIGMA, out=sigma)
+            mu[block], sigma[block] = _side_stats(top)
         ie, it = inverse[0::2], inverse[1::2]
-        scores = 0.5 * ((scores - mu[ie]) / sigma[ie] + (scores - mu[it]) / sigma[it])
+        scores = _as_norm(scores, mu[ie], sigma[ie], mu[it], sigma[it])
     codes = list(map(LABEL_CODE.__getitem__, labels))
     # the rows are the IDs' codes in the embeddings' ID -> row dict
     return ScoreSet._of_codes(embeddings._index, rows[0::2], rows[1::2], codes, scores)
@@ -196,12 +197,16 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
 
 def _pair_cosines(mat, norms, enroll, test):
     """Cosines, clamped to [-1, 1], of rows enroll[i] and test[i] of `mat`
-    given its nonzero float64 row norms, a chunk of pairs at a time."""
+    given its float64 row norms, a chunk of pairs at a time; ZeroNorm if
+    a pair holds a zero-norm row."""
     scores = np.empty(len(enroll))
     for lo in range(0, len(enroll), _TRIAL_CHUNK):
         e, t = enroll[lo : lo + _TRIAL_CHUNK], test[lo : lo + _TRIAL_CHUNK]
+        ne, nt = norms[e], norms[t]
+        if not (ne.all() and nt.all()):
+            raise ZeroNorm("cosine undefined for zero-norm vector")
         dots = (mat[e].astype(np.float64) * mat[t]).sum(axis=1)
-        scores[lo : lo + _TRIAL_CHUNK] = dots / (norms[e] * norms[t])
+        scores[lo : lo + _TRIAL_CHUNK] = dots / (ne * nt)
     return np.clip(scores, -1.0, 1.0, out=scores)
 
 

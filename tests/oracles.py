@@ -10,8 +10,10 @@ index, and the pairwise term normalizes the rows on each call. The
 embedding-row check looks at one row and one component at a time. The
 PK sampler sorts each batch's speakers with a Python key, held-out
 trials are drawn from lists of every candidate pair and scored one
-`cosine` call at a time, the training loop counts its steps and epochs
-by hand, and the synthetic population is drawn one speaker at a time.
+clipped `np.dot` cosine at a time, the training loop counts its steps
+and epochs by hand, and the synthetic population is drawn one speaker
+at a time. AS-Norm scores one trial from unit rows and a full sort of
+its cohort cosines.
 """
 
 import math
@@ -21,7 +23,31 @@ import numpy as np
 from sasvkit.core import LABEL_CODE, ScoreSet, TrialLabel
 from sasvkit.errors import DimensionMismatch, DivergenceDetected, DuplicateId, InvalidBatch
 from sasvkit.losses import LossBatch, PairSet, circle_loss, combined_loss, sphereface_loss
-from sasvkit.scoring import cosine
+
+
+def cosine(a, b):
+    """Cosine of two vectors by one `np.dot` over the product of their
+    norms, clamped to [-1, 1]."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return float(np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0))
+
+
+def as_norm(enroll, test, cohort, top_k, min_sigma=1e-8):
+    """(AS-Norm score, smaller floored std) of one trial by brute force:
+    unit rows, every cohort cosine, a full `np.sort`, the mean and
+    population std of the top K, then the floor."""
+    def unit(x):
+        x = np.asarray(x, dtype=np.float64)
+        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+    e, t, coh = unit(enroll), unit(test), unit(cohort)
+    raw = np.clip(np.dot(e, t), -1.0, 1.0)
+    terms, sigmas = [], []
+    for side in (e, t):
+        top = np.sort(np.clip(coh @ side, -1.0, 1.0))[::-1][:top_k]
+        sigmas.append(max(top.std(), min_sigma))
+        terms.append((raw - top.mean()) / sigmas[-1])
+    return 0.5 * (terms[0] + terms[1]), min(sigmas)
 
 
 def frr_at(pos, tau):

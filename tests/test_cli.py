@@ -542,6 +542,83 @@ def test_moe_demo_gate_with_too_few_rows_names_the_counts(tmp_path, capsys):
     assert captured.err == "sasvkit: gate has 3 outputs for 4 candidate layers\n"
 
 
+def _moe_argv(tmp_path, layers, weight, bias):
+    """moe-demo arguments for layer and gate files written with repr
+    decimals here, not by the library's writers."""
+    (tmp_path / "layers.txt").write_text("".join(
+        f"layer{i:02d} " + " ".join(map(repr, row)) + "\n"
+        for i, row in enumerate(np.asarray(layers, dtype=np.float64).tolist())))
+    (tmp_path / "gate.txt").write_text("".join(
+        f"gate{i:03d} " + " ".join(map(repr, row + [b])) + "\n"
+        for i, (row, b) in enumerate(zip(weight.tolist(), bias.tolist()))))
+    return ["moe-demo", "--layers", str(tmp_path / "layers.txt"),
+            "--gate", str(tmp_path / "gate.txt")]
+
+
+_MOE_GATE_PROBS = (
+    "gate_probs=0.209001 0.006871 0.074218 0.011793 0.010134 0.028970"
+    " 0.021377 0.004391 0.006510 0.516877 0.010625 0.099233\n"
+)
+# recorded before the selection was shared by top_k_mask and moe-demo
+_MOE_GOLDEN = {
+    (1, False): (
+        "selected=9\n"
+        "weights=1.000000\n"
+        "fused=2.149457573890686 -1.742555022239685 -0.9027679860591888\n"
+    ),
+    (1, True): (
+        "selected=9\n"
+        "weights=1.000000\n"
+        "fused=2.149457573890686 -1.742555022239685 -0.9027679860591888\n"
+    ),
+    (3, False): (
+        "selected=0 9 11\n"
+        "weights=0.253301 0.626433 0.120266\n"
+        "fused=2.045116254202961 -2.010488493942465 -0.6618965106277537\n"
+    ),
+    (3, True): (
+        "selected=0 9 11\n"
+        "weights=1.000000 1.000000 1.000000\n"
+        "fused=3.1706541180610657 -5.163686990737915 1.1064211428165436\n"
+    ),
+    (12, False): (
+        "selected=0 1 2 3 4 5 6 7 8 9 10 11\n"
+        "weights=0.209001 0.006871 0.074218 0.011793 0.010134 0.028970"
+        " 0.021377 0.004391 0.006510 0.516877 0.010625 0.099233\n"
+        "fused=2.020484988517457 -1.6758158334191597 -0.8238787833076153\n"
+    ),
+    (12, True): (
+        "selected=0 1 2 3 4 5 6 7 8 9 10 11\n"
+        "weights=" + " ".join(["1.000000"] * 12) + "\n"
+        "fused=8.386644691228867 0.3942081704735756 1.0736335813999176\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("top_k, unweighted", list(_MOE_GOLDEN))
+def test_moe_demo_stdout_is_golden(tmp_path, capsys, top_k, unweighted):
+    rng = np.random.default_rng(13)
+    argv = _moe_argv(tmp_path, rng.standard_normal((13, 3)), rng.standard_normal((12, 3)),
+                     rng.standard_normal(12))
+    assert main(argv + ["--top-k", str(top_k)] + ["--unweighted"] * unweighted) == 0
+    assert capsys.readouterr().out == _MOE_GATE_PROBS + _MOE_GOLDEN[top_k, unweighted]
+
+
+@pytest.mark.parametrize("unweighted, weights, fused", [
+    (False, "1.000000 0.000000 0.000000", "10.0 12.0"),
+    (True, "1.000000 1.000000 1.000000", "18.0 22.0"),
+])
+def test_moe_demo_prints_every_selected_layer_when_its_probability_underflows(
+        tmp_path, capsys, unweighted, weights, fused):
+    # gate probabilities [1, 0, 0, 0]: exp(-800) is 0.0, yet top-3 selects layers 0, 1, 2
+    layers = [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]
+    argv = _moe_argv(tmp_path, layers, np.zeros((4, 2)), np.array([0.0, -800, -800, -800]))
+    assert main(argv + ["--top-k", "3"] + ["--unweighted"] * unweighted) == 0
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert out["gate_probs"] == "1.000000 0.000000 0.000000 0.000000"
+    assert (out["selected"], out["weights"], out["fused"]) == ("0 1 2", weights, fused)
+
+
 @pytest.mark.parametrize("emb_dim", ["0", "-2"])
 def test_train_toy_bad_emb_dim_exits_2_before_training(emb_dim, monkeypatch, capsys):
     def no_training(*args, **kwargs):

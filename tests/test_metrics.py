@@ -60,6 +60,23 @@ def test_eer_empty_class():
         eer([], [0.1])
 
 
+@pytest.mark.parametrize("positive, negative, name", [
+    ([float("nan"), 1.0], [0.0, 0.5], "positive"),
+    ([1.0], [0.0, float("nan"), 0.5], "negative"),
+    ([float("nan")], [float("nan")], "positive"),
+])
+def test_eer_rejects_a_nan_score_naming_its_class(positive, negative, name):
+    with pytest.raises(ValueError, match=f"^eer got a NaN {name} score$"):
+        eer(positive, negative)
+
+
+def test_eer_takes_infinite_scores():
+    pos = [float("inf"), 0.9, 0.3]
+    neg = [float("-inf"), 0.7, 0.1]
+    assert eer(pos, neg) == (1 / 3, 0.7)
+    assert eer([float("inf")], [float("-inf")]) == (0.0, float("inf"))
+
+
 def test_sv_eer_excludes_spoofs():
     s = _labeled_set(target=[0.9], nontarget=[0.1], spoof=[-5.0])
     assert sv_eer(s)[0] == 0.0

@@ -77,6 +77,20 @@ def test_fuse_degenerate_stack():
     assert np.array_equal(fused, np.array([4.0, 6.0]))
 
 
+def _underflowing_gate():
+    """Five layers and a gate whose probabilities are [1, 0, 0, 0]: exp(-800) is 0.0."""
+    stack = LayerStack([[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]])
+    return stack, GateParams(np.zeros((4, 2)), np.array([0.0, -800, -800, -800]), top_k=3)
+
+
+def test_fuse_unweighted_sums_a_selected_layer_whose_probability_underflowed():
+    stack, params = _underflowing_gate()
+    assert gate_probs(stack.final, params).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert top_k_mask(gate_probs(stack.final, params), 3).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert fuse(stack, params, unweighted=True).tolist() == [18.0, 22.0]
+    assert fuse(stack, params).tolist() == [10.0, 12.0]
+
+
 def test_fuse_uniform_gate():
     rng = np.random.default_rng(5)
     layers = rng.standard_normal((4, 6))

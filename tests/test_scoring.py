@@ -3,6 +3,7 @@ import re
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,26 @@ def test_cosine_errors():
         cosine([1, 0], [1, 0, 0])
     with pytest.raises(ZeroNorm):
         cosine([0, 0], [1, 0])
+
+
+@pytest.mark.parametrize("a, b", [
+    (3, 4),  # scalars: 0-D, not vectors
+    ([[1.0, 0.0]], [[1.0, 0.0]]),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0]),
+    ([1.0, 0.0], [[1.0], [0.0]]),
+])
+def test_cosine_takes_two_1d_vectors_of_one_length(a, b):
+    with pytest.raises(DimensionMismatch, match="^shapes "):
+        cosine(a, b)
+
+
+def test_cosine_is_the_engines_raw_score_bit_for_bit():
+    rng = np.random.default_rng(4)
+    embs = _embset(rng.standard_normal((10, 7)), prefix="u")
+    trials = [Trial(f"u{i}", f"u{j}") for i in range(10) for j in range(10)]
+    out = score_trials(trials, embs)
+    for t in trials:
+        assert out.score_of(t.key) == cosine(embs[t.enroll_id].values, embs[t.test_id].values)
 
 
 def test_cosine_scale_invariance():
@@ -109,6 +130,19 @@ def test_cohort_stats_examples():
     assert st2.mu == 0.0 and st2.sigma == 1.0
     with pytest.raises(EmptyList):
         cohort_stats([])
+
+
+@pytest.mark.parametrize("scores", [
+    np.ones((2, 3)),
+    [[0.1], [0.3]],
+    0.5,
+    [0.1, float("nan")],
+    [0.1, float("inf")],
+    [-float("inf"), 0.1],
+])
+def test_cohort_stats_takes_a_1d_list_of_finite_scores(scores):
+    with pytest.raises(ValueError, match="^cohort scores must be a 1-D list of finite values$"):
+        cohort_stats(scores)
 
 
 def test_as_norm_hand_example():
@@ -178,6 +212,10 @@ def test_score_trials_asnorm_matches_manual_composition():
         se = cohort_stats(top_k_cohort_scores(embs[t.enroll_id], cohort, 7))
         st = cohort_stats(top_k_cohort_scores(embs[t.test_id], cohort, 7))
         assert out.score_of(t.key) == as_norm(raw, se, st)
+        # and the formula itself, against a brute-force reference
+        ref, _ = oracles.as_norm(embs[t.enroll_id].values, embs[t.test_id].values,
+                                 cohort.matrix(), 7)
+        assert abs(out.score_of(t.key) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_score_trials_missing_embedding():
@@ -272,6 +310,11 @@ def test_score_trials_matches_per_side_composition(case):
         ref = as_norm(raw, se, st_)
         assert abs(out.score_of(t.key) - ref) <= 1e-12 * max(1.0, abs(ref))
         assert abs(score_trials([t], embs).score_of(t.key) - raw) <= 1e-12
+        # the brute-force reference rounds its unit rows differently, an
+        # error of a few ulps in each cosine that a side's std magnifies
+        brute, sigma = oracles.as_norm(embs[t.enroll_id].values, embs[t.test_id].values,
+                                       cohort.matrix(), top_k)
+        assert abs(out.score_of(t.key) - brute) <= 1e-12 * max(1.0, abs(brute)) + 1e-14 / sigma
 
 
 def _scoreset(pairs_scores, label=TrialLabel.UNLABELED):
