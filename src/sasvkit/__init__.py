@@ -6,6 +6,7 @@ from .core import (
     ScoreSet,
     Trial,
     TrialLabel,
+    TrialTable,
     partition_scores,
 )
 from .scoring import (

@@ -13,6 +13,11 @@ an Embedding's checks to whole rows at once, as do construction from
 Embeddings and `add`; members are handed out as Embeddings viewing
 their row.
 
+A TrialTable is a trial list as columns: its IDs in order of first
+appearance, enroll before test, an N x 2 int64 array of each trial's
+codes (indices of that list) and int8 label codes. It iterates, indexes
+and compares as the list of its Trials, repeats included.
+
 A ScoreSet is columnar: a vocabulary (a dict coding each ID 0, 1, ...
 in insertion order), one int64 key per record (enroll code << 32 | test
 code) with the keys' stable argsort order, int8 label codes (the label's
@@ -27,7 +32,7 @@ columns, and a new vocabulary for a new ID.
 
 from collections import defaultdict, namedtuple
 from enum import Enum
-from itertools import count, groupby, repeat
+from itertools import chain, count, groupby, repeat
 
 import numpy as np
 
@@ -213,6 +218,39 @@ TOKEN_CODE = {label.value: code for label, code in LABEL_CODE.items() if code !=
 _TEST_CODE = (1 << 32) - 1  # the low bits of a ScoreSet key
 
 
+class TrialTable:
+    """A trial list as columns (see the module docstring)."""
+
+    def __init__(self, trials=()):
+        enroll, test, labels = tuple(zip(*trials)) or ((), (), ())
+        vocab = defaultdict(count().__next__)
+        codes = list(map(vocab.__getitem__, chain.from_iterable(zip(enroll, test))))
+        vars(self).update(vars(TrialTable._of_codes(
+            list(vocab), codes, list(map(LABEL_CODE.__getitem__, labels)))))
+
+    @classmethod
+    def _of_codes(cls, ids, codes, labels):
+        """The trials whose enroll and test codes of `ids` pair up in `codes`."""
+        out = cls.__new__(cls)
+        out._ids, out._codes = ids, _readonly(np.asarray(codes, np.int64).reshape(-1, 2))
+        out._labels = _readonly(np.asarray(labels, np.int8))
+        return out
+
+    def __len__(self):
+        return len(self._labels)
+
+    def __iter__(self):
+        ids = map(self._ids.__getitem__, self._codes.ravel().tolist())
+        return map(Trial._make, zip(ids, ids, map(LABELS.__getitem__, self._labels.tolist())))
+
+    def __getitem__(self, i):
+        enroll, test = self._codes[i].tolist()
+        return Trial._make((self._ids[enroll], self._ids[test], LABELS[self._labels[i]]))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, TrialTable)) else NotImplemented
+
+
 class ScoreSet:
     """Ordered (trial, score) records with unique (enroll, test) pairs.
 
@@ -222,9 +260,9 @@ class ScoreSet:
 
     def __init__(self, records=()):
         trials, scores = tuple(zip(*records)) or ((), ())
-        enroll, test, labels = tuple(zip(*trials)) or ((), (), ())
-        codes = list(map(LABEL_CODE.__getitem__, labels))
-        vars(self).update(vars(ScoreSet.from_columns(enroll, test, codes, scores)))
+        t = TrialTable(trials)
+        vocab = dict(zip(t._ids, count()))
+        vars(self).update(vars(ScoreSet._of_codes(vocab, *t._codes.T, t._labels, scores)))
 
     @classmethod
     def from_columns(cls, enroll, test, labels, scores):

@@ -1,16 +1,17 @@
 """On-disk formats: embeddings (text and binary), trials, scores, gates.
 
-Text files are UTF-8; bad UTF-8 is a ParseError at its byte offset. The
-tokenizer `_lines` is the one definition of their fields (split on any
-run of whitespace) and comments (a line whose first field starts with
-`#`). It reads text about 64 KiB at a time, each read completed to the
-next newline by the stream's `readline`, so the memory a parse needs
-besides its result does not grow with the file size; an error found
-after the read (a repeated ID or trial, a non-finite or zero row) takes
-its line number from the record's line that the parser kept. The enroll
-and test IDs of trial and score files are interned, so each distinct ID
-is one string however many lines and files repeat it; `parse_scores`
-codes the IDs as it reads them (a ScoreSet keeps codes, see `core`).
+Text files are UTF-8; bad UTF-8 is a ParseError at its byte offset.
+Fields are split on any run of whitespace, and a line whose first field
+starts with `#` is a comment (`_fields`). Text is read about 64 KiB at a
+time, each read completed to the next newline, so the memory a parse
+needs besides its result does not grow with the file size; an error
+found after the read (a repeated ID or trial, a non-finite or zero row)
+takes its line number from the record's line that the parser kept.
+Trial and score files are read as columns, IDs interned and coded as
+read (see `core`). A block of one in the writers' layout (one field count,
+single spaces, LF line ends, no line starting with whitespace or `#`,
+known labels and numbers) is split once and sliced into columns; any
+other block is read line by line, so each error keeps line and message.
 
 The writers encode text as UTF-8, separate fields with one space and
 raise ValueError, before the target is opened, for an ID that would not
@@ -43,16 +44,17 @@ and written as float64.
 """
 
 import io
+import re
 import struct
 import sys
 import zlib
 from array import array
 from collections import defaultdict
-from itertools import count
+from itertools import chain, count, islice
 
 import numpy as np
 
-from .core import _UNLABELED, LABEL_CODE, LABELS, TOKEN_CODE, EmbeddingSet, ScoreSet, Trial
+from .core import _UNLABELED, LABEL_CODE, LABELS, TOKEN_CODE, EmbeddingSet, ScoreSet, TrialTable
 from .errors import DimensionDrift, DuplicateId, DuplicateTrial, ParseError
 
 MAGIC = b"SASVEMB1"
@@ -77,44 +79,108 @@ def _write_all(data, path_or_stream):
             fh.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
 
 
-def _lines(path_or_stream, head=None):
-    """(line number, fields) of each line of a text path or stream (str
-    or UTF-8 bytes; `head` is what was already read of the stream) that
-    is neither blank nor a comment: the one definition of the text
-    grammar's fields and comments.
-
-    The text is read and decoded in blocks of `_BLOCK` that the stream's
-    `readline` completes to the next newline, so a CR LF pair never
-    straddles two blocks and `splitlines` on each block gives the lines
-    of the whole text. A path's file is closed when the lines end or the
-    generator is dropped, as it is when a parser that iterates it in its
-    `for` statement raises. An unbuffered stream, whose `readline` would
-    read a byte at a time, is read through a buffer that is detached at
-    that point, so the caller's stream stays open."""
+def _blocks(path_or_stream, head=None):
+    """The text of a path or stream (str or UTF-8 bytes; `head` is what was
+    read of it already) in blocks of `_BLOCK` that its `readline` completes
+    to a newline, so no CR LF pair straddles two blocks. A path's file is
+    closed when the generator ends or is dropped (a parser iterating it
+    raised); an unbuffered stream, whose `readline` reads a byte at a time,
+    is read through a buffer that is then detached, leaving it open."""
     if not hasattr(path_or_stream, "read"):
         with open(path_or_stream, "rb") as fh:
-            yield from _lines(fh)
+            yield from _blocks(fh)
         return
     if isinstance(path_or_stream, io.RawIOBase):
         buffered = io.BufferedReader(path_or_stream)
         try:
-            yield from _lines(buffered, head)
+            yield from _blocks(buffered, head)
         finally:
             buffered.detach()
         return
-    lineno = offset = 0
-    block = head or path_or_stream.read(0)  # "" or b"", as the stream reads
+    offset, block = 0, head or path_or_stream.read(0)  # "" or b"", as the stream reads
     while block := block + path_or_stream.read(_BLOCK) + path_or_stream.readline():
         try:
             text = block.decode("utf-8") if isinstance(block, bytes) else block
         except UnicodeDecodeError as e:
             raise ParseError(f"bad UTF-8 text: {e.reason}", offset=offset + e.start) from None
         offset += len(block)
-        for lineno, line in enumerate(text.splitlines(), start=lineno + 1):
-            fields = line.split()
-            if fields and fields[0][0] != "#":
-                yield lineno, fields
         block = block[:0]
+        yield text
+
+
+def _fields(lines, lineno):
+    """(line number, fields) of each of `lines` after line `lineno` that is
+    neither blank nor a comment: the one definition of fields and comments."""
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        fields = line.split()
+        if fields and fields[0][0] != "#":
+            yield lineno, fields
+
+
+def _lines(path_or_stream, head=None):
+    """`_fields` of all the lines of a text path or stream (see `_blocks`)."""
+    lineno = 0
+    for text in _blocks(path_or_stream, head):
+        lines = text.splitlines()
+        yield from _fields(lines, lineno)
+        lineno += len(lines)
+
+
+# a block of a trial (n = 2) or score (n = 3) file in the writers' layout
+_LAYOUT = {n: re.compile(r"(?:[^\s#]\S*" + r" \S+" * (n - 1) + r"(?: \S+)?\n)*") for n in (2, 3)}
+
+
+def _layout_columns(text, n, lineno):
+    """`_line_columns` of a block in the writers' layout with one field
+    count, known labels and numbers, split once and sliced; else None."""
+    if not _LAYOUT[n].fullmatch(text):
+        return None
+    fields, lines = text.split(), text.count("\n")
+    width, mixed = divmod(len(fields), lines)
+    labels = [_UNLABELED] * lines if width == n else list(map(TOKEN_CODE.get, fields[n::width]))
+    if mixed or None in labels:
+        return None
+    try:
+        scores = list(map(float, fields[2::width])) if n == 3 else []
+    except ValueError:
+        return None
+    ids = fields[: 2 * lines]
+    ids[0::2], ids[1::2] = fields[0::width], fields[1::width]
+    return lines, range(lineno + 1, lineno + 1 + lines), ids, labels, scores
+
+
+def _line_columns(text, n, lineno):
+    """(line count, record line numbers, enroll and test IDs interleaved,
+    label codes, scores) of a block of a trial (n = 2) or score (n = 3)
+    file after line `lineno`, line by line: its first bad line raises."""
+    lines, linenos, ids, labels, scores = text.splitlines(), array("q"), [], [], []
+    for at, fields in _fields(lines, lineno):
+        labels.append(_label_code(fields, n, at))
+        try:
+            scores += map(float, fields[2:n])
+        except ValueError:
+            raise ParseError(f"bad score {fields[2]!r}", line=at) from None
+        ids += fields[:2]
+        linenos.append(at)
+    return len(lines), linenos, ids, labels, scores
+
+
+def _id_columns(path_or_stream, n):
+    """(IDs, int64 enroll and test codes interleaved, line numbers, int8
+    label codes, float64 scores) of a trial or score file, a block at a time
+    (see `_line_columns`): the IDs interned, in order of first appearance,
+    and the record line numbers as a `range` or `array` per block."""
+    vocab = defaultdict(count().__next__)  # codes in order of first appearance
+    codes, labels, scores, linenos, lineno = array("q"), array("b"), array("d"), [], 0
+    for text in _blocks(path_or_stream):
+        lines, block_linenos, ids, block_labels, block_scores = (
+            _layout_columns(text, n, lineno) or _line_columns(text, n, lineno))
+        codes.extend(map(vocab.__getitem__, ids))
+        labels.extend(block_labels)
+        scores.extend(block_scores)
+        linenos.append(block_linenos)
+        lineno += lines
+    return list(map(sys.intern, vocab)), codes, linenos, labels, scores
 
 
 def _label_code(fields, n, lineno):
@@ -260,13 +326,9 @@ def write_embeddings_binary(embset, path_or_stream):
 
 
 def parse_trials(path_or_stream):
-    enroll, test, labels = [], [], []
-    for lineno, fields in _lines(path_or_stream):
-        labels.append(LABELS[_label_code(fields, 2, lineno)])
-        enroll.append(sys.intern(fields[0]))
-        test.append(sys.intern(fields[1]))
-    # a split field is never empty, so the Trial check is skipped
-    return list(map(Trial._make, zip(enroll, test, labels)))
+    """A TrialTable of a trial file (see `core`)."""
+    ids, codes, _, labels, _ = _id_columns(path_or_stream, 2)
+    return TrialTable._of_codes(ids, codes, labels)
 
 
 def write_trials(trials, path_or_stream):
@@ -278,24 +340,14 @@ def write_trials(trials, path_or_stream):
 
 
 def parse_scores(path_or_stream):
-    vocab = defaultdict(count().__next__)  # codes in order of first appearance
-    enroll, test, linenos, labels, scores = map(array, "qqqbd")
-    for lineno, fields in _lines(path_or_stream):
-        labels.append(_label_code(fields, 3, lineno))
-        try:
-            scores.append(float(fields[2]))
-        except ValueError:
-            raise ParseError(f"bad score {fields[2]!r}", line=lineno) from None
-        enroll.append(vocab[fields[0]])
-        test.append(vocab[fields[1]])
-        linenos.append(lineno)
-    vocab = dict(zip(map(sys.intern, vocab), vocab.values()))  # as parse_trials' IDs
+    ids, codes, linenos, labels, scores = _id_columns(path_or_stream, 3)
     try:
-        return ScoreSet._of_codes(vocab, enroll, test, labels, scores)
-    except DuplicateTrial as e:
-        raise DuplicateTrial(f"{e} (line {linenos[e.row]})") from None
-    except ValueError as e:
-        raise ParseError(str(e), line=linenos[e.row]) from None
+        return ScoreSet._of_codes(dict(zip(ids, count())), codes[0::2], codes[1::2], labels, scores)
+    except (DuplicateTrial, ValueError) as e:
+        line = next(islice(chain.from_iterable(linenos), e.row, None))
+        if isinstance(e, DuplicateTrial):
+            raise DuplicateTrial(f"{e} (line {line})") from None
+        raise ParseError(str(e), line=line) from None
 
 
 def write_scores(scores, path_or_stream):

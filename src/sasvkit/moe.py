@@ -53,7 +53,7 @@ class GateParams:
             raise DimensionMismatch("gate weight must be a matrix")
         if self.bias.shape != (self.weight.shape[0],):
             raise DimensionMismatch("gate bias length must match weight rows")
-        if not (isinstance(self.top_k, numbers.Integral) and self.top_k >= 1):
+        if not _is_k(self.top_k):
             raise BadK("top_k must be an integer >= 1")
 
     @classmethod
@@ -90,13 +90,18 @@ def top_k_mask(probs, k):
 def _select(probs, k):
     """(the k selected indices, most probable first; `top_k_mask`'s weights)."""
     probs = np.asarray(probs, dtype=np.float64)
-    if not 1 <= k <= probs.shape[0]:
-        raise BadK(f"k={k} outside [1, {probs.shape[0]}]")
+    if not (_is_k(k) and k <= probs.shape[0]):
+        raise BadK(f"k={k!r} is not an integer in [1, {probs.shape[0]}]")
     selected = np.argsort(-probs, kind="stable")[:k]  # stable: ties keep lower index
     weights = np.zeros_like(probs)
     # the renormalizer sums most probable first, not in index order
     weights[selected] = probs[selected] / probs[selected].sum()
     return selected, weights
+
+
+def _is_k(k):
+    """Whether `k` is an integer >= 1; a bool is not a layer count."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1
 
 
 def _fuse(stack, params, unweighted=False):

@@ -31,11 +31,10 @@ All functions are pure; scores are float64 throughout.
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .core import LABEL_CODE, ScoreSet
+from .core import ScoreSet, TrialTable
 from .errors import (
     BadWeights,
     DimensionMismatch,
@@ -66,8 +65,10 @@ class CohortStats:
     k_used: int
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be finite and > 0")
         if self.k_used < 1:
             raise ValueError("k_used must be >= 1")
 
@@ -166,33 +167,35 @@ def _as_norm(raw, mu_e, sigma_e, mu_t, sigma_t):
 def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
     """Score trials by cosine, with AS-Norm when a cohort is given.
 
-    Enroll-side and test-side top-K statistics are computed
+    `trials` is a TrialTable, used as is, or any iterable of Trials,
+    coded as one. Enroll-side and test-side top-K statistics are computed
     independently against the same cohort set, once per distinct side.
     All IDs are checked before any scoring; MissingEmbedding names the
     first missing one in trial order.
     """
-    enroll_ids, test_ids, labels = tuple(zip(*trials)) or ((), (), ())
-    try:
-        rows = embeddings.rows(chain.from_iterable(zip(enroll_ids, test_ids)))
+    table = trials if isinstance(trials, TrialTable) else TrialTable(trials)
+    try:  # the table's IDs in order of first appearance: the first missing one in trial order
+        id_rows = embeddings.rows(table._ids)
     except KeyError as e:
         raise MissingEmbedding(f"no embedding for ID {e.args[0]!r}") from None
-    if not enroll_ids:
+    if not len(table):
         return ScoreSet()
+    rows = id_rows[table._codes]
     mat, norms = embeddings.matrix(), np.empty(len(embeddings))
     for lo in range(0, len(mat), _TRIAL_CHUNK):  # rows reduce alone: chunks change no bit
         chunk = slice(lo, lo + _TRIAL_CHUNK)
         norms[chunk] = np.linalg.norm(mat[chunk].astype(np.float64), axis=1)
-    scores = _pair_cosines(mat, norms, rows[0::2], rows[1::2])
+    scores = _pair_cosines(mat, norms, rows[:, 0], rows[:, 1])
     if cohort is not None:
-        sides, inverse = np.unique(rows, return_inverse=True)
+        # the distinct sides are the rows of the table's IDs, in row order
+        sides, inverse = np.unique(id_rows, return_inverse=True)
         mu, sigma = np.empty(len(sides)), np.empty(len(sides))
         for block, top in _top_k_blocks(mat[sides], norms[sides], cohort, cfg.top_k):
             mu[block], sigma[block] = _side_stats(top)
-        ie, it = inverse[0::2], inverse[1::2]
+        ie, it = inverse[table._codes].T
         scores = _as_norm(scores, mu[ie], sigma[ie], mu[it], sigma[it])
-    codes = list(map(LABEL_CODE.__getitem__, labels))
     # the rows are the IDs' codes in the embeddings' ID -> row dict
-    return ScoreSet._of_codes(embeddings._index, rows[0::2], rows[1::2], codes, scores)
+    return ScoreSet._of_codes(embeddings._index, rows[:, 0], rows[:, 1], table._labels, scores)
 
 
 def _pair_cosines(mat, norms, enroll, test):
@@ -205,7 +208,9 @@ def _pair_cosines(mat, norms, enroll, test):
         ne, nt = norms[e], norms[t]
         if not (ne.all() and nt.all()):
             raise ZeroNorm("cosine undefined for zero-norm vector")
-        dots = (mat[e].astype(np.float64) * mat[t]).sum(axis=1)
+        pairs = mat[e].astype(np.float64)
+        pairs *= mat[t]  # in place: one float64 temporary a chunk
+        dots = pairs.sum(axis=1)
         scores[lo : lo + _TRIAL_CHUNK] = dots / (ne * nt)
     return np.clip(scores, -1.0, 1.0, out=scores)
 

@@ -49,7 +49,17 @@ def test_top_k_mask_examples():
         top_k_mask([0.5, 0.5], 0)
 
 
-@pytest.mark.parametrize("top_k", [0, -1, 2.5, 3.0, float("nan"), "3"])
+@pytest.mark.parametrize("k", [1.5, 2.0, True, np.True_, "2", float("nan"), 0, 4])
+def test_top_k_mask_takes_an_integer_k_within_the_layers(k):
+    with pytest.raises(BadK, match=r"is not an integer in \[1, 3\]$"):
+        top_k_mask([0.5, 0.3, 0.2], k)
+
+
+def test_top_k_mask_takes_a_numpy_integer_k():
+    assert np.array_equal(top_k_mask([0.5, 0.3, 0.2], np.int64(2)), top_k_mask([0.5, 0.3, 0.2], 2))
+
+
+@pytest.mark.parametrize("top_k", [0, -1, 2.5, 3.0, float("nan"), "3", True])
 def test_gate_params_require_an_integer_top_k_of_at_least_1(top_k):
     with pytest.raises(BadK, match="^top_k must be an integer >= 1$"):
         GateParams(np.ones((3, 2)), np.zeros(3), top_k=top_k)

@@ -19,10 +19,11 @@ from sasvkit.errors import (
     UnlabeledTrial,
     ZeroNorm,
 )
-from sasvkit.fileio import parse_scores, write_scores, write_trials
+from sasvkit.fileio import parse_scores, parse_trials, write_scores, write_trials
 from sasvkit.scoring import (
     AsNormConfig,
     CascadeConfig,
+    CohortStats,
     as_norm,
     cascade,
     cohort_stats,
@@ -230,6 +231,47 @@ def test_score_trials_missing_id_checked_before_cohort():
     # the first missing ID in trial order, before any cohort error
     with pytest.raises(MissingEmbedding, match="'x2'"):
         score_trials(trials, embs, EmbeddingSet())
+
+
+def test_missing_embedding_names_the_first_missing_id_in_trial_order():
+    embs = _embset([[1.0, 0.0], [0.0, 1.0]], prefix="u")
+    # line 1's test ID comes before line 2's enroll ID, enroll before test
+    # within a line, whether the trials are a parsed table or a list
+    text = "u0 x1\nx2 u1\n"
+    for trials in (parse_trials(io.StringIO(text)), list(parse_trials(io.StringIO(text)))):
+        with pytest.raises(MissingEmbedding, match="^no embedding for ID 'x1'$"):
+            score_trials(trials, embs)
+    with pytest.raises(MissingEmbedding, match="^no embedding for ID 'x2'$"):
+        score_trials(parse_trials(io.StringIO("u0 u1\nx2 x1\n")), embs)
+
+
+def test_a_parsed_table_scores_as_its_list_does():
+    rng = np.random.default_rng(9)
+    embs = _embset(rng.standard_normal((6, 3)), prefix="u")
+    cohort = _embset(rng.standard_normal((9, 3)), prefix="coh")
+    trials = [Trial(f"u{i % 6}", f"u{(i + 1 + i // 6) % 6}", list(TrialLabel)[i % 4])
+              for i in range(12)]
+    buf = io.StringIO()
+    write_trials(trials, buf)
+    table = parse_trials(io.StringIO(buf.getvalue()))
+    for cohort_set in (None, cohort):
+        got = score_trials(table, embs, cohort_set, AsNormConfig(top_k=4))
+        want = score_trials(trials, embs, cohort_set, AsNormConfig(top_k=4))
+        assert list(got) == list(want)
+        assert got.scores().tobytes() == want.scores().tobytes()
+
+
+def test_cohort_stats_must_be_finite_with_a_positive_sigma():
+    with pytest.raises(ValueError, match="^sigma must be finite and > 0$"):
+        as_norm(0.5, CohortStats(0.0, 0.0, 1), cohort_stats([0.1, 0.3]))
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^sigma must be finite and > 0$"):
+            CohortStats(0.0, sigma, 1)
+    for mu in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^mu must be finite$"):
+            CohortStats(mu, 1.0, 1)
+    # what cohort_stats builds passes: a degenerate cohort's sigma is floored
+    assert cohort_stats([0.7, 0.7]).sigma == 1e-8
 
 
 def test_score_trials_empty_cohort():
