@@ -16,12 +16,11 @@ import json
 import math
 import os
 import sys
-from itertools import islice
 
 import numpy as np
 
 from . import fileio, metrics, moe, sampler, scoring
-from .core import EmbeddingSet, Trial, TrialLabel
+from .core import LABEL_CODE, EmbeddingSet, TrialLabel, TrialTable
 from .errors import BadParams, DivergenceDetected, DuplicateTrial, SasvError
 from .losses import (
     LossBatch,
@@ -150,9 +149,7 @@ def _cmd_score(args):
     try:
         result = scoring.score_trials(trials, embeddings, cohort, cfg)
     except DuplicateTrial as e:
-        # the trial file's records are read again for the row's line
-        lineno, _ = next(islice(fileio._lines(args.trials), e.row, None))
-        raise DuplicateTrial(f"{e} (line {lineno})") from None
+        raise fileio._located(trials, e) from None
     fileio.write_scores(result, args.out)
     return EXIT_OK
 
@@ -242,10 +239,9 @@ def _cmd_gen_synth(args):
         S, U, n = args.speakers, args.utts, args.n_trials
         n_target = min(n - n // 2, S * U * (U - 1))
         enroll, test = _draw_pairs(np.random.default_rng(args.seed + 1), S, U, n_target, n - n_target)
-        ids = embeddings.ids()
-        labels = [TrialLabel.TARGET] * n_target + [TrialLabel.NONTARGET] * (n - n_target)
-        fileio.write_trials([Trial(ids[e], ids[t], label) for e, t, label
-                             in zip(enroll.tolist(), test.tolist(), labels)], args.trials_out)
+        labels = np.repeat([LABEL_CODE[TrialLabel.TARGET], LABEL_CODE[TrialLabel.NONTARGET]],
+                           (n_target, n - n_target))
+        fileio.write_trials(TrialTable._of_codes(embeddings.ids(), enroll, test, labels), args.trials_out)
     return EXIT_OK
 
 

@@ -13,25 +13,25 @@ an Embedding's checks to whole rows at once, as do construction from
 Embeddings and `add`; members are handed out as Embeddings viewing
 their row.
 
-A TrialTable is a trial list as columns: its IDs in order of first
-appearance, enroll before test, an N x 2 int64 array of each trial's
-codes (indices of that list) and int8 label codes. It iterates, indexes
-and compares as the list of its Trials, repeats included.
+A TrialTable is the one place where trial IDs are coded: the IDs in
+order of first appearance, enroll before test, one int64 key per trial
+(enroll code << 32 | test code, a code being an index of that list) and
+int8 label codes (a label's index in LABELS). It iterates, indexes and
+compares as the list of its Trials, repeats included. A table is never
+changed, so many score sets share one.
 
-A ScoreSet is columnar: a vocabulary (a dict coding each ID 0, 1, ...
-in insertion order), one int64 key per record (enroll code << 32 | test
-code) with the keys' stable argsort order, int8 label codes (the label's
-index in LABELS) and float64 scores. The sorted keys are the duplicate
-check; `in`, `score_of` and `scores_in_order_of` find keys with
-`searchsorted`, after one dict lookup per ID of another vocabulary. No
-set changes a vocabulary it holds, so sets share them: `score_trials`
-codes IDs by EmbeddingSet row, and a set derived by `with_scores` (in
-cascade and ensemble) shares all but the scores; `append` builds new
-columns, and a new vocabulary for a new ID.
+A ScoreSet is a TrialTable plus the keys' stable argsort order and a
+float64 score column. The sorted keys are the duplicate check; `in`,
+`score_of` and `scores_in_order_of` find keys with `searchsorted`, after
+one dict lookup per ID for a key or a table of other IDs. `score_trials`
+attaches its scores to the table it was given, and `with_scores` (in
+cascade and ensemble) to its set's table; `append` builds a new table.
 """
 
+import numbers
 from collections import defaultdict, namedtuple
 from enum import Enum
+from functools import cached_property
 from itertools import chain, count, groupby, repeat
 
 import numpy as np
@@ -208,14 +208,18 @@ class Trial(namedtuple("Trial", "enroll_id test_id label")):
         return f"Trial({self.enroll_id!r}, {self.test_id!r}, {self.label.value})"
 
 
-# The label column of a ScoreSet holds codes: a label's code is its
+# The label column of a TrialTable holds codes: a label's code is its
 # index in LABELS, so 0/1/2 are target/nontarget/spoof.
 LABELS = tuple(TrialLabel)
 LABEL_CODE = {label: code for code, label in enumerate(LABELS)}
 _UNLABELED = LABEL_CODE[TrialLabel.UNLABELED]
 # a label field's token -> code; an unlabeled trial has no label field
 TOKEN_CODE = {label.value: code for label, code in LABEL_CODE.items() if code != _UNLABELED}
-_TEST_CODE = (1 << 32) - 1  # the low bits of a ScoreSet key
+
+
+def _is_k(k):
+    """Whether `k` is an integer >= 1; a bool is not a count."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1
 
 
 class TrialTable:
@@ -226,43 +230,52 @@ class TrialTable:
         vocab = defaultdict(count().__next__)
         codes = list(map(vocab.__getitem__, chain.from_iterable(zip(enroll, test))))
         vars(self).update(vars(TrialTable._of_codes(
-            list(vocab), codes, list(map(LABEL_CODE.__getitem__, labels)))))
+            vocab, codes[0::2], codes[1::2], list(map(LABEL_CODE.__getitem__, labels)))))
 
     @classmethod
-    def _of_codes(cls, ids, codes, labels):
-        """The trials whose enroll and test codes of `ids` pair up in `codes`."""
+    def _of_codes(cls, ids, enroll, test, labels, linenos=None):
+        """The trials of codes `enroll` and `test` into the iterable `ids`,
+        kept as an object array; `linenos` are their lines in a file."""
         out = cls.__new__(cls)
-        out._ids, out._codes = ids, _readonly(np.asarray(codes, np.int64).reshape(-1, 2))
+        keys = np.asarray(enroll, np.int64) << 32
+        keys |= np.asarray(test, np.int64)
+        out._ids, out._keys, out._linenos = np.fromiter(ids, object), _readonly(keys), linenos
         out._labels = _readonly(np.asarray(labels, np.int8))
         return out
+
+    @cached_property
+    def _vocab(self):
+        """The ID -> code dict of `_ids`, built on the first per-ID lookup."""
+        return dict(zip(self._ids, count()))
+
+    def _sides(self, values, rows=slice(None)):
+        """`values`, an array over `_ids` such as `_ids` itself, at the
+        enroll and at the test side of the trials at `rows`."""
+        enroll, test = np.divmod(self._keys[rows], 1 << 32)
+        return values[enroll], values[test]
 
     def __len__(self):
         return len(self._labels)
 
     def __iter__(self):
-        ids = map(self._ids.__getitem__, self._codes.ravel().tolist())
-        return map(Trial._make, zip(ids, ids, map(LABELS.__getitem__, self._labels.tolist())))
+        enroll, test = self._sides(self._ids)
+        return map(Trial._make, zip(enroll, test, map(LABELS.__getitem__, self._labels.tolist())))
 
     def __getitem__(self, i):
-        enroll, test = self._codes[i].tolist()
-        return Trial._make((self._ids[enroll], self._ids[test], LABELS[self._labels[i]]))
+        enroll, test = self._sides(self._ids, i)
+        return Trial._make((enroll, test, LABELS[self._labels[i]]))
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, (list, TrialTable)) else NotImplemented
 
 
 class ScoreSet:
-    """Ordered (trial, score) records with unique (enroll, test) pairs.
-
-    Stored as columns (see the module docstring); iteration builds each
-    record's Trial on the fly from IDs that `from_columns` has checked.
-    """
+    """Ordered (trial, score) records with unique (enroll, test) pairs:
+    a TrialTable plus scores (see the module docstring)."""
 
     def __init__(self, records=()):
         trials, scores = tuple(zip(*records)) or ((), ())
-        t = TrialTable(trials)
-        vocab = dict(zip(t._ids, count()))
-        vars(self).update(vars(ScoreSet._of_codes(vocab, *t._codes.T, t._labels, scores)))
+        vars(self).update(vars(ScoreSet._of_table(TrialTable(trials), scores)))
 
     @classmethod
     def from_columns(cls, enroll, test, labels, scores):
@@ -274,118 +287,88 @@ class ScoreSet:
         appending the records one by one would; the exception's `row` is
         that record's row.
         """
-        vocab = defaultdict(count().__next__)  # codes in order of first appearance
-        enroll, test = (np.fromiter(map(vocab.__getitem__, c), np.int64) for c in (enroll, test))
-        vocab.default_factory = None
-        return cls._of_codes(vocab, enroll, test, labels, scores)
+        enroll, test, labels = list(enroll), list(test), np.array(labels, np.int8)
+        if not (len(enroll) == len(test) == len(labels) and np.shape(scores) == labels.shape):
+            raise ValueError("score set columns differ in length")
+        if labels.size and not (labels.min() >= 0 and labels.max() < len(LABELS)):
+            raise ValueError("unknown label code")
+        trials = map(Trial, enroll, test, map(LABELS.__getitem__, labels.tolist()))
+        return cls._of_table(TrialTable(trials), scores)
 
     @classmethod
-    def _of_codes(cls, vocab, enroll, test, labels, scores, order=None):
-        """`from_columns` of IDs given as codes of `vocab`, a dict coding
-        its IDs 0, 1, ... in insertion order, which the set then shares;
-        `order` is the keys' stable argsort order, when the caller has it."""
-        enroll, test = np.asarray(enroll, np.int64), np.asarray(test, np.int64)
-        labels, scores = np.array(labels, np.int8), np.array(scores, np.float64)
-        n = enroll.size
-        if not (test.size == labels.size == scores.size == n and scores.ndim == 1):
+    def _of_table(cls, table, scores, order=None):
+        """The records of `table`, which the set shares, with `scores`;
+        `order` is the table keys' stable argsort order, when the caller
+        has it. Raises as `from_columns` does."""
+        scores, keys = np.array(scores, np.float64), table._keys
+        if scores.shape != keys.shape:
             raise ValueError("score set columns differ in length")
-        if not all(vocab):
-            raise ValueError("trial IDs must be non-empty")
-        if n and not (labels.min() >= 0 and labels.max() < len(LABELS)):
-            raise ValueError("unknown label code")
-        out = cls.__new__(cls)
-        out._vocab, out._keys = vocab, _readonly(enroll << 32 | test)
-        order = np.argsort(out._keys, kind="stable") if order is None else order
-        ordered = out._keys[order]
+        order = np.argsort(keys, kind="stable") if order is None else order
+        ordered = keys[order]
         # the stable order puts each record after the earlier ones with its key
         repeats = order[1:][ordered[1:] == ordered[:-1]]
-        duplicate = int(repeats.min()) if repeats.size else n
+        duplicate = int(repeats.min()) if repeats.size else len(keys)
         # a record with a non-finite score fails before it is a duplicate
-        out._check_finite(scores[: duplicate + 1])
-        if duplicate < n:
-            raise _at_row(DuplicateTrial(f"duplicate trial {out._key(duplicate)}"), duplicate)
-        out._order, out._labels, out._scores = map(_readonly, (order, labels, scores))
-        return out
-
-    def _check_finite(self, scores):
-        """Raise ValueError for the first non-finite score."""
-        bad = np.flatnonzero(~np.isfinite(scores))
+        bad = np.flatnonzero(~np.isfinite(scores[: duplicate + 1]))
         if bad.size:
-            row = int(bad[0])
-            raise _at_row(ValueError(f"non-finite score for trial {self._key(row)}"), row)
-
-    def _key(self, row):
-        ids, key = list(self._vocab), int(self._keys[row])
-        return ids[key >> 32], ids[key & _TEST_CODE]
-
-    def _rows(self, vocab, keys):
-        """The row of each of `keys`, coded in `vocab`, or -1 where the set
-        lacks it; another vocabulary costs one dict lookup per ID."""
-        if vocab is not self._vocab:  # an unknown ID's code -1 makes a key < 0
-            code = np.fromiter(map(self._vocab.get, vocab, repeat(-1)), np.int64, len(vocab))
-            keys = code[keys >> 32] << 32 | code[keys & _TEST_CODE]
-        if not len(self):
-            return np.full(len(keys), -1)
-        rows = self._order.take(np.searchsorted(self._keys, keys, sorter=self._order), mode="clip")
-        return np.where(self._keys[rows] == keys, rows, -1)
+            raise _at_row(ValueError(f"non-finite score for trial {table[bad[0]].key}"), int(bad[0]))
+        if repeats.size:
+            raise _at_row(DuplicateTrial(f"duplicate trial {table[duplicate].key}"), duplicate)
+        out = cls.__new__(cls)
+        out._table, out._order, out._scores = table, _readonly(order), _readonly(scores)
+        return out
 
     def _row(self, key):
         """The row of an (enroll, test) pair, or -1."""
-        vocab = self._vocab
+        vocab, keys, order = self._table._vocab, self._table._keys, self._order
         if not (isinstance(key, tuple) and len(key) == 2 and key[0] in vocab and key[1] in vocab):
             return -1
-        return self._rows(vocab, np.array([vocab[key[0]] << 32 | vocab[key[1]]]))[0]
+        code = vocab[key[0]] << 32 | vocab[key[1]]
+        i = keys.searchsorted(code, sorter=order)
+        return int(order[i]) if i < len(order) and keys[order[i]] == code else -1
 
     def with_scores(self, scores):
         """A set of this set's records, in this order and with these
-        labels, holding new scores; it shares this set's vocabulary, keys
-        and labels. Raises ValueError on the first non-finite score."""
-        scores = np.array(scores, dtype=np.float64)
-        if scores.shape != self._scores.shape:
-            raise ValueError("score set columns differ in length")
-        self._check_finite(scores)
-        out = ScoreSet.__new__(ScoreSet)
-        vars(out).update(vars(self), _scores=_readonly(scores))
-        return out
+        labels, holding new scores; it shares this set's table. Raises
+        ValueError on the first non-finite score."""
+        return ScoreSet._of_table(self._table, scores, self._order)
 
     def scores_in_order_of(self, other):
-        """This set's scores in the row order of `other`, or None when
-        the two sets do not cover the same (enroll, test) pairs."""
-        if other._keys is self._keys:
+        """This set's scores in the row order of `other`, or None when the
+        two sets do not cover the same (enroll, test) pairs; a set on a
+        table of other IDs costs one dict lookup per ID."""
+        own, table = self._table, other._table
+        if len(self) != len(other):
+            return None
+        if table is own:
             return self._scores
-        rows = self._rows(other._vocab, other._keys) if len(self) == len(other) else None
-        return None if rows is None or (rows < 0).any() else self._scores[rows]
+        # the other table's keys in this table's codes: an unknown ID's -1 makes a key < 0
+        code = np.fromiter(map(own._vocab.get, table._ids, repeat(-1)), np.int64, len(table._ids))
+        enroll, test = table._sides(code)
+        keys = enroll << 32 | test
+        rows = self._order.take(own._keys.searchsorted(keys, sorter=self._order), mode="clip")
+        return None if (own._keys[rows] != keys).any() else self._scores[rows]
 
     def append(self, trial, score):
         """Add one record through the `from_columns` checks; the set
-        takes on the new columns only after they pass. Each call copies
-        every column, O(N); build a large set in bulk with
+        takes on the new table and columns only after they pass. Each
+        call copies every column, O(N); build a large set in bulk with
         `ScoreSet(records)` or `from_columns`."""
-        vocab, ids = self._vocab, (trial.enroll_id, trial.test_id)
-        if new := {*ids} - vocab.keys():  # a new dict, as other sets may share this one
-            vocab = {**vocab, **dict(zip(new, count(len(vocab))))}
-        enroll, test = map(vocab.__getitem__, ids)
-        row = np.searchsorted(self._keys, enroll << 32 | test, "right", self._order)
-        vars(self).update(vars(ScoreSet._of_codes(
-            vocab, np.append(self._keys >> 32, enroll), np.append(self._keys & _TEST_CODE, test),
-            np.append(self._labels, LABEL_CODE[trial.label]), np.append(self._scores, score),
-            np.insert(self._order, row, len(self)))))
-
-    def _records(self, size=1 << 62):
-        """(enroll IDs, test IDs, label codes, scores) lists of each run
-        of `size` records in order; one run, maybe empty, by default."""
-        ids = np.fromiter(self._vocab, object, len(self._vocab))
-        for lo in range(0, len(self) or 1, size):
-            keys, run = self._keys[lo : lo + size], slice(lo, lo + size)
-            yield (ids[keys >> 32].tolist(), ids[keys & _TEST_CODE].tolist(),
-                   self._labels[run].tolist(), self._scores[run].tolist())
+        table = self._table
+        vocab = dict(table._vocab)  # a new dict, as other tables may share this one
+        enroll, test = [vocab.setdefault(id, len(vocab)) for id in trial.key]
+        codes = np.append(np.divmod(table._keys, 1 << 32), [[enroll], [test]], axis=1)
+        grown = TrialTable._of_codes(vocab, *codes, np.append(table._labels, LABEL_CODE[trial.label]))
+        grown._vocab = vocab
+        row = np.searchsorted(table._keys, enroll << 32 | test, "right", self._order)
+        vars(self).update(vars(ScoreSet._of_table(
+            grown, np.append(self._scores, score), np.insert(self._order, row, len(self)))))
 
     def __len__(self):
-        return len(self._keys)
+        return len(self._scores)
 
     def __iter__(self):
-        enroll, test, labels, scores = next(self._records())
-        return zip(map(Trial._make, zip(enroll, test, map(LABELS.__getitem__, labels))), scores)
+        return zip(self._table, self._scores.tolist())
 
     def __contains__(self, key):
         return self._row(key) >= 0
@@ -396,7 +379,7 @@ class ScoreSet:
         return float(self._scores[row])
 
     def keys(self):
-        return list(zip(*next(self._records())[:2]))
+        return list(zip(*self._table._sides(self._table._ids)))
 
     def scores(self):
         return self._scores.copy()
@@ -404,8 +387,8 @@ class ScoreSet:
     def columns(self):
         """(enroll IDs, test IDs, label codes, scores): two tuples and
         two read-only arrays, in record order."""
-        enroll, test, _, _ = next(self._records())
-        return tuple(enroll), tuple(test), self._labels, self._scores
+        enroll, test = self._table._sides(self._table._ids)
+        return tuple(enroll), tuple(test), self._table._labels, self._scores
 
 
 def partition_scores(scores):
@@ -414,8 +397,8 @@ def partition_scores(scores):
     Lists keep the original record order. Raises UnlabeledTrial on the
     first record without a label.
     """
-    codes, values = scores._labels, scores._scores
+    codes, values = scores._table._labels, scores._scores
     unlabeled = np.flatnonzero(codes == _UNLABELED)
     if unlabeled.size:
-        raise UnlabeledTrial(f"trial {scores._key(unlabeled[0])} has no label")
+        raise UnlabeledTrial(f"trial {scores._table[unlabeled[0]].key} has no label")
     return tuple(values[codes == code].tolist() for code in range(3))

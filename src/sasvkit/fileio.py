@@ -7,11 +7,11 @@ time, each read completed to the next newline, so the memory a parse
 needs besides its result does not grow with the file size; an error
 found after the read (a repeated ID or trial, a non-finite or zero row)
 takes its line number from the record's line that the parser kept.
-Trial and score files are read as columns, IDs interned and coded as
-read (see `core`). A block of one in the writers' layout (one field count,
-single spaces, LF line ends, no line starting with whitespace or `#`,
-known labels and numbers) is split once and sliced into columns; any
-other block is read line by line, so each error keeps line and message.
+Trial and score files are read into a TrialTable (see `core`), IDs
+interned and coded as read. A block in the writers' layout (one field
+count, single spaces, LF line ends, no line starting with whitespace or
+`#`, known labels and numbers) is split once and sliced into columns;
+any other block is read line by line, so each error keeps its line.
 
 The writers encode text as UTF-8, separate fields with one space and
 raise ValueError, before the target is opened, for an ID that would not
@@ -19,9 +19,9 @@ read back as the same field: an empty one, one holding whitespace, a
 line's first field starting with `#`, or a text embedding file's first
 ID starting with the binary magic. Scores are written a run at a time.
 
-Text embedding file: one `<id> <v1> ... <vD>` line per utterance.
-Values are written as shortest round-trip decimals of the 32-bit stored
-floats, so binary -> text -> binary conversion is lossless.
+Text embedding file: one `<id> <v1> ... <vD>` line per utterance, each
+value the `repr` of a float32 widened to float64 (`np.float32(0.1)` is
+`0.10000000149011612`), so binary -> text -> binary conversion is lossless.
 
 Binary embedding file (all integers little-endian; any ID is allowed):
 
@@ -162,14 +162,16 @@ def _line_columns(text, n, lineno):
             raise ParseError(f"bad score {fields[2]!r}", line=at) from None
         ids += fields[:2]
         linenos.append(at)
+    if linenos and linenos[-1] - linenos[0] == len(linenos) - 1:  # consecutive: a range
+        linenos = range(linenos[0], linenos[-1] + 1)
     return len(lines), linenos, ids, labels, scores
 
 
 def _id_columns(path_or_stream, n):
-    """(IDs, int64 enroll and test codes interleaved, line numbers, int8
-    label codes, float64 scores) of a trial or score file, a block at a time
-    (see `_line_columns`): the IDs interned, in order of first appearance,
-    and the record line numbers as a `range` or `array` per block."""
+    """(TrialTable, float64 scores) of a trial or score file, a block at a
+    time (see `_line_columns`): the IDs interned, in order of first
+    appearance, and the record line numbers kept on the table as a `range`
+    or `array` per block (see `_located`)."""
     vocab = defaultdict(count().__next__)  # codes in order of first appearance
     codes, labels, scores, linenos, lineno = array("q"), array("b"), array("d"), [], 0
     for text in _blocks(path_or_stream):
@@ -180,7 +182,15 @@ def _id_columns(path_or_stream, n):
         scores.extend(block_scores)
         linenos.append(block_linenos)
         lineno += lines
-    return list(map(sys.intern, vocab)), codes, linenos, labels, scores
+    codes = np.asarray(codes)
+    return TrialTable._of_codes(map(sys.intern, vocab), codes[0::2], codes[1::2], labels, linenos), scores
+
+
+def _located(table, e):
+    """`e`, raised for record `e.row` of a table `_id_columns` read, at that record's line."""
+    line = next(islice(chain.from_iterable(table._linenos), e.row, None))
+    return (DuplicateTrial(f"{e} (line {line})") if isinstance(e, DuplicateTrial)
+            else ParseError(str(e), line=line))
 
 
 def _label_code(fields, n, lineno):
@@ -304,8 +314,8 @@ def write_embeddings_text(embset, path_or_stream):
     if ids and ids[0].startswith(MAGIC.decode()):
         raise ValueError(f"ID {ids[0]!r} cannot start a text embedding file: it begins "
                          f"with the binary magic {MAGIC.decode()!r}")
-    # repr of the exact float64 value of each float32 component:
-    # shortest decimal that round-trips back to the same float32
+    # repr of the exact float64 widening of each float32 component: it
+    # parses back to that float64, and so to the same float32
     _write_all("".join([uid + " " + " ".join(map(repr, row)) + "\n"
                         for uid, row in zip(ids, embset.matrix().tolist())]), path_or_stream)
 
@@ -327,8 +337,7 @@ def write_embeddings_binary(embset, path_or_stream):
 
 def parse_trials(path_or_stream):
     """A TrialTable of a trial file (see `core`)."""
-    ids, codes, _, labels, _ = _id_columns(path_or_stream, 2)
-    return TrialTable._of_codes(ids, codes, labels)
+    return _id_columns(path_or_stream, 2)[0]
 
 
 def write_trials(trials, path_or_stream):
@@ -340,22 +349,22 @@ def write_trials(trials, path_or_stream):
 
 
 def parse_scores(path_or_stream):
-    ids, codes, linenos, labels, scores = _id_columns(path_or_stream, 3)
+    table, scores = _id_columns(path_or_stream, 3)
     try:
-        return ScoreSet._of_codes(dict(zip(ids, count())), codes[0::2], codes[1::2], labels, scores)
-    except (DuplicateTrial, ValueError) as e:
-        line = next(islice(chain.from_iterable(linenos), e.row, None))
-        if isinstance(e, DuplicateTrial):
-            raise DuplicateTrial(f"{e} (line {line})") from None
-        raise ParseError(str(e), line=line) from None
+        return ScoreSet._of_table(table, scores)
+    except (DuplicateTrial, ValueError) as e:  # a repeated trial, a non-finite score
+        raise _located(table, e) from None
 
 
 def write_scores(scores, path_or_stream):
+    table = scores._table
+    runs = [slice(lo, lo + _RECORDS) for lo in range(0, len(scores), _RECORDS)]
     for column, first in ((0, True), (1, False)):  # every enroll ID, then every test ID
-        for run in scores._records(_RECORDS):
-            _check_ids(run[column], first)
-    _write_all(("".join([f"{e} {t} {v!r}{_LABEL_SUFFIX[c]}\n" for e, t, c, v in zip(*run)])
-                for run in scores._records(_RECORDS)), path_or_stream)
+        for run in runs:
+            _check_ids(table._sides(table._ids, run)[column], first)
+    _write_all(("".join([f"{e} {t} {v!r}{_LABEL_SUFFIX[c]}\n" for e, t, c, v in zip(
+                    *table._sides(table._ids, run), table._labels[run].tolist(),
+                    scores._scores[run].tolist())]) for run in runs), path_or_stream)
 
 
 # ------------------------------------------------------------------- gates

@@ -8,11 +8,11 @@ replaces the renormalized weights with 1.0, i.e. a plain sum of every
 selected layer, including one whose gate probability underflowed to 0.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _is_k
 from .errors import BadK, DimensionMismatch
 
 DEFAULT_TOP_K = 3
@@ -97,11 +97,6 @@ def _select(probs, k):
     # the renormalizer sums most probable first, not in index order
     weights[selected] = probs[selected] / probs[selected].sum()
     return selected, weights
-
-
-def _is_k(k):
-    """Whether `k` is an integer >= 1; a bool is not a layer count."""
-    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1
 
 
 def _fuse(stack, params, unweighted=False):

@@ -18,7 +18,7 @@ from itertools import chain, count
 
 import numpy as np
 
-from .core import LABEL_CODE, ScoreSet, TrialLabel
+from .core import LABEL_CODE, ScoreSet, TrialLabel, TrialTable
 from .errors import (
     BadParams,
     DimensionMismatch,
@@ -270,7 +270,5 @@ def eval_toy(model, dataset, n_trials, seed=0):
     norms = np.linalg.norm(emb, axis=1)
     ids = [f"{sid}-ho{u:03d}" for sid in dataset.speaker_ids for u in range(per_spk)]
     codes = [LABEL_CODE[TrialLabel.TARGET], LABEL_CODE[TrialLabel.NONTARGET]]
-    return ScoreSet._of_codes(
-        dict(zip(ids, count())), enroll, test,
-        np.repeat(codes, (n_target, n_nontarget)), _pair_cosines(emb, norms, enroll, test),
-    )
+    table = TrialTable._of_codes(ids, enroll, test, np.repeat(codes, (n_target, n_nontarget)))
+    return ScoreSet._of_table(table, _pair_cosines(emb, norms, enroll, test))

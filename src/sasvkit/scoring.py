@@ -29,12 +29,11 @@ All functions are pure; scores are float64 throughout.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreSet, TrialTable
+from .core import ScoreSet, TrialTable, _is_k
 from .errors import (
     BadWeights,
     DimensionMismatch,
@@ -78,7 +77,7 @@ class AsNormConfig:
     top_k: int = DEFAULT_TOP_K
 
     def __post_init__(self):
-        if not (isinstance(self.top_k, numbers.Integral) and self.top_k >= 1):
+        if not _is_k(self.top_k):
             raise ValueError("top_k must be an integer >= 1")
 
 
@@ -167,8 +166,8 @@ def _as_norm(raw, mu_e, sigma_e, mu_t, sigma_t):
 def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
     """Score trials by cosine, with AS-Norm when a cohort is given.
 
-    `trials` is a TrialTable, used as is, or any iterable of Trials,
-    coded as one. Enroll-side and test-side top-K statistics are computed
+    `trials` is a TrialTable, which the result shares, or any iterable
+    of Trials, coded as one. Enroll-side and test-side top-K statistics are computed
     independently against the same cohort set, once per distinct side.
     All IDs are checked before any scoring; MissingEmbedding names the
     first missing one in trial order.
@@ -179,23 +178,21 @@ def score_trials(trials, embeddings, cohort=None, cfg=AsNormConfig()):
     except KeyError as e:
         raise MissingEmbedding(f"no embedding for ID {e.args[0]!r}") from None
     if not len(table):
-        return ScoreSet()
-    rows = id_rows[table._codes]
+        return ScoreSet._of_table(table, [])
     mat, norms = embeddings.matrix(), np.empty(len(embeddings))
     for lo in range(0, len(mat), _TRIAL_CHUNK):  # rows reduce alone: chunks change no bit
         chunk = slice(lo, lo + _TRIAL_CHUNK)
         norms[chunk] = np.linalg.norm(mat[chunk].astype(np.float64), axis=1)
-    scores = _pair_cosines(mat, norms, rows[:, 0], rows[:, 1])
+    scores = _pair_cosines(mat, norms, *table._sides(id_rows))
     if cohort is not None:
         # the distinct sides are the rows of the table's IDs, in row order
         sides, inverse = np.unique(id_rows, return_inverse=True)
         mu, sigma = np.empty(len(sides)), np.empty(len(sides))
         for block, top in _top_k_blocks(mat[sides], norms[sides], cohort, cfg.top_k):
             mu[block], sigma[block] = _side_stats(top)
-        ie, it = inverse[table._codes].T
+        ie, it = table._sides(inverse)
         scores = _as_norm(scores, mu[ie], sigma[ie], mu[it], sigma[it])
-    # the rows are the IDs' codes in the embeddings' ID -> row dict
-    return ScoreSet._of_codes(embeddings._index, rows[:, 0], rows[:, 1], table._labels, scores)
+    return ScoreSet._of_table(table, scores)
 
 
 def _pair_cosines(mat, norms, enroll, test):

@@ -45,12 +45,14 @@ def _failure(e):
 
 
 def _columns(data, n):
-    """`_id_columns` of `data`, with the line numbers flat, or its error."""
+    """The columns of `_id_columns`' table of `data` and its scores, with
+    the line numbers flat, or its error."""
     try:
-        ids, codes, linenos, labels, scores = fileio._id_columns(io.BytesIO(data), n)
+        table, scores = fileio._id_columns(io.BytesIO(data), n)
     except SasvError as e:
         return _failure(e)
-    return ids, codes.tolist(), list(chain.from_iterable(linenos)), labels.tolist(), scores.tobytes()
+    return (table._ids.tolist(), table._keys.tolist(), list(chain.from_iterable(table._linenos)),
+            table._labels.tolist(), scores.tobytes())
 
 
 def _parsed(data, n):

@@ -1,4 +1,4 @@
-"""ScoreSets built every way, on their own vocabularies or on shared ones,
+"""ScoreSets built every way, on their own trial tables or on shared ones,
 agree with a per-key oracle: membership, lookup, record order, alignment,
 cascade and ensemble. A repeated trial is located alike by every
 builder, by the score parser and by `sasvkit score`."""
@@ -14,13 +14,19 @@ from hypothesis import strategies as st
 from sasvkit.cli import main
 from sasvkit.core import LABELS, EmbeddingSet, ScoreSet, Trial
 from sasvkit.errors import DuplicateTrial, TrialMismatch
-from sasvkit.fileio import parse_scores, write_embeddings_text, write_scores, write_trials
+from sasvkit.fileio import (
+    parse_scores,
+    parse_trials,
+    write_embeddings_text,
+    write_scores,
+    write_trials,
+)
 from sasvkit.scoring import CascadeConfig, cascade, ensemble, score_trials
 
 _IDS = ["a", "b", "c", "d", "e"]
 _PAIRS = [(e, t) for e in _IDS for t in _IDS]
-# one ID the trials never use, so the scored sets' vocabulary is larger
-# than the IDs they hold
+# one ID the trials never use, so a scored table's ID codes are not all
+# the embedding rows
 _EMBEDDINGS = EmbeddingSet.from_matrix(
     _IDS + ["unused"], np.random.default_rng(0).uniform(0.5, 1.5, (6, 3)).astype(np.float32))
 
@@ -48,6 +54,12 @@ def _scored(records):
     return score_trials([t for t, _ in records], _EMBEDDINGS)
 
 
+def _parsed_then_scored(records):
+    buf = io.StringIO()
+    write_trials([t for t, _ in records], buf)
+    return score_trials(parse_trials(io.StringIO(buf.getvalue())), _EMBEDDINGS)
+
+
 def _scored_then_appended(records):
     half = len(records) // 2
     return _appended(records[half:], _scored(records[:half]))
@@ -63,6 +75,7 @@ _BUILDERS = {
     "derived": lambda records: ScoreSet(records).with_scores([s for _, s in records]),
     "score_trials": _scored,
     "score_trials+append": _scored_then_appended,
+    "parse_trials+score_trials": _parsed_then_scored,
 }
 
 
@@ -93,7 +106,7 @@ def _built(name, records):
     out = _BUILDERS[name](records)
     assert out.keys() == [t[:2] for t, _ in records]
     assert [t for t, _ in out] == [t for t, _ in records]
-    if not name.startswith("score_trials"):
+    if "score_trials" not in name:
         assert out.scores().tolist() == [s for _, s in records]
     return out, dict(zip(out.keys(), out.scores().tolist()))
 

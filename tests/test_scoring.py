@@ -370,6 +370,7 @@ def _scoreset(pairs_scores, label=TrialLabel.UNLABELED):
     ({"top_k": 2.5}, "top_k must be an integer >= 1"),
     ({"top_k": 3.0}, "top_k must be an integer >= 1"),
     ({"top_k": 0}, "top_k must be an integer >= 1"),
+    ({"top_k": True}, "top_k must be an integer >= 1"),
 ])
 def test_as_norm_config_rejects_bad_values(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -568,3 +569,25 @@ def test_raw_scoring_allocates_less_than_a_float64_copy_of_the_embeddings():
         tracemalloc.stop()
     assert len(scores) == len(trials)
     assert peak < n * d * 8
+
+
+def test_scoring_a_parsed_table_keeps_at_most_18_bytes_a_record_beyond_it():
+    rng = np.random.default_rng(4)
+    n = 2000
+    embs = EmbeddingSet.from_matrix([f"u{i}" for i in range(n)],
+                                    rng.standard_normal((n, 4)).astype(np.float32))
+    ids = embs.ids()
+    buf = io.StringIO()
+    write_trials([Trial(ids[p // n], ids[p % n], TrialLabel.TARGET)
+                  for p in rng.choice(n * n, 20000, replace=False).tolist()], buf)
+    table = parse_trials(io.StringIO(buf.getvalue()))
+    # the set shares the table and adds the keys' order and the scores,
+    # 16 bytes a record; a second key or label column would add 8 or 1
+    tracemalloc.start()
+    try:
+        scores = score_trials(table, embs)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scores) == len(table) == 20000
+    assert retained <= 18 * len(table)
