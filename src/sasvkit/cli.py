@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import fileio, metrics, moe, sampler, scoring
-from .core import LABEL_CODE, EmbeddingSet, TrialLabel, TrialTable
+from .core import EmbeddingSet
 from .errors import BadParams, DivergenceDetected, DuplicateTrial, SasvError
 from .losses import (
     LossBatch,
@@ -32,7 +32,6 @@ from .losses import (
     mine_pairs,
     sphereface_loss,
 )
-from .sampler import _draw_pairs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,14 +141,15 @@ def _build_parser():
 
 
 def _cmd_score(args):
-    trials = fileio.parse_trials(args.trials)
+    trials, _, linenos = fileio._id_columns(args.trials, 2)
     embeddings = fileio.parse_embeddings(args.embeddings)
     cohort = fileio.parse_embeddings(args.cohort) if args.cohort else None
     cfg = scoring.AsNormConfig(top_k=args.top_k)
     try:
         result = scoring.score_trials(trials, embeddings, cohort, cfg)
     except DuplicateTrial as e:
-        raise fileio._located(trials, e) from None
+        raise fileio._located(linenos, e) from None
+    del linenos  # kept only to locate a repeated trial
     fileio.write_scores(result, args.out)
     return EXIT_OK
 
@@ -236,12 +236,9 @@ def _cmd_gen_synth(args):
     embeddings = _dataset_to_embeddings(dataset)
     fileio.write_embeddings_text(embeddings, args.out)
     if args.trials_out:
-        S, U, n = args.speakers, args.utts, args.n_trials
-        n_target = min(n - n // 2, S * U * (U - 1))
-        enroll, test = _draw_pairs(np.random.default_rng(args.seed + 1), S, U, n_target, n - n_target)
-        labels = np.repeat([LABEL_CODE[TrialLabel.TARGET], LABEL_CODE[TrialLabel.NONTARGET]],
-                           (n_target, n - n_target))
-        fileio.write_trials(TrialTable._of_codes(embeddings.ids(), enroll, test, labels), args.trials_out)
+        trials = sampler._draw_pairs(np.random.default_rng(args.seed + 1), embeddings.ids(),
+                                     args.utts, args.n_trials)
+        fileio.write_trials(trials, args.trials_out)
     return EXIT_OK
 
 

@@ -18,7 +18,8 @@ order of first appearance, enroll before test, one int64 key per trial
 (enroll code << 32 | test code, a code being an index of that list) and
 int8 label codes (a label's index in LABELS). It iterates, indexes and
 compares as the list of its Trials, repeats included. A table is never
-changed, so many score sets share one.
+changed, so many score sets share one; it is a trial list's one form
+from drawer (`sampler`) or parser (`fileio`) to scorer or writer.
 
 A ScoreSet is a TrialTable plus the keys' stable argsort order and a
 float64 score column. The sorted keys are the duplicate check; `in`,
@@ -233,13 +234,12 @@ class TrialTable:
             vocab, codes[0::2], codes[1::2], list(map(LABEL_CODE.__getitem__, labels)))))
 
     @classmethod
-    def _of_codes(cls, ids, enroll, test, labels, linenos=None):
-        """The trials of codes `enroll` and `test` into the iterable `ids`,
-        kept as an object array; `linenos` are their lines in a file."""
+    def _of_codes(cls, ids, enroll, test, labels):
+        """The trials of codes `enroll` and `test` into the iterable `ids`, kept as an object array."""
         out = cls.__new__(cls)
         keys = np.asarray(enroll, np.int64) << 32
         keys |= np.asarray(test, np.int64)
-        out._ids, out._keys, out._linenos = np.fromiter(ids, object), _readonly(keys), linenos
+        out._ids, out._keys = np.fromiter(ids, object), _readonly(keys)
         out._labels = _readonly(np.asarray(labels, np.int8))
         return out
 
@@ -279,18 +279,19 @@ class ScoreSet:
 
     @classmethod
     def from_columns(cls, enroll, test, labels, scores):
-        """A ScoreSet from whole columns: enroll IDs, test IDs, label
-        codes (see LABELS) and scores, one entry per record.
+        """A ScoreSet from whole columns: enroll IDs, test IDs, integer
+        label codes (see LABELS) and scores, one entry per record.
 
         Raises ValueError for a non-finite score or DuplicateTrial for a
         repeated (enroll, test) pair, whichever record comes first, as
         appending the records one by one would; the exception's `row` is
         that record's row.
         """
-        enroll, test, labels = list(enroll), list(test), np.array(labels, np.int8)
+        enroll, test, labels = list(enroll), list(test), np.asarray(labels)
         if not (len(enroll) == len(test) == len(labels) and np.shape(scores) == labels.shape):
             raise ValueError("score set columns differ in length")
-        if labels.size and not (labels.min() >= 0 and labels.max() < len(LABELS)):
+        if labels.size and not (labels.dtype.kind in "iu"
+                                and 0 <= labels.min() <= labels.max() < len(LABELS)):
             raise ValueError("unknown label code")
         trials = map(Trial, enroll, test, map(LABELS.__getitem__, labels.tolist()))
         return cls._of_table(TrialTable(trials), scores)

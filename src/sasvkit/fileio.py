@@ -8,16 +8,18 @@ needs besides its result does not grow with the file size; an error
 found after the read (a repeated ID or trial, a non-finite or zero row)
 takes its line number from the record's line that the parser kept.
 Trial and score files are read into a TrialTable (see `core`), IDs
-interned and coded as read. A block in the writers' layout (one field
-count, single spaces, LF line ends, no line starting with whitespace or
-`#`, known labels and numbers) is split once and sliced into columns;
-any other block is read line by line, so each error keeps its line.
+interned and coded as read, and their record lines kept beside it only
+for the parse. A block in the writers' layout (one field count, single
+spaces, LF line ends, no line starting with whitespace or `#`, known
+labels and numbers) is split once and sliced into columns; any other
+block is read line by line, so each error keeps its line.
 
 The writers encode text as UTF-8, separate fields with one space and
 raise ValueError, before the target is opened, for an ID that would not
 read back as the same field: an empty one, one holding whitespace, a
 line's first field starting with `#`, or a text embedding file's first
-ID starting with the binary magic. Scores are written a run at a time.
+ID starting with the binary magic. Trials and scores are written from
+a table's columns a run at a time.
 
 Text embedding file: one `<id> <v1> ... <vD>` line per utterance, each
 value the `repr` of a float32 widened to float64 (`np.float32(0.1)` is
@@ -54,7 +56,7 @@ from itertools import chain, count, islice
 
 import numpy as np
 
-from .core import _UNLABELED, LABEL_CODE, LABELS, TOKEN_CODE, EmbeddingSet, ScoreSet, TrialTable
+from .core import _UNLABELED, LABELS, TOKEN_CODE, EmbeddingSet, ScoreSet, TrialTable
 from .errors import DimensionDrift, DuplicateId, DuplicateTrial, ParseError
 
 MAGIC = b"SASVEMB1"
@@ -162,16 +164,14 @@ def _line_columns(text, n, lineno):
             raise ParseError(f"bad score {fields[2]!r}", line=at) from None
         ids += fields[:2]
         linenos.append(at)
-    if linenos and linenos[-1] - linenos[0] == len(linenos) - 1:  # consecutive: a range
-        linenos = range(linenos[0], linenos[-1] + 1)
     return len(lines), linenos, ids, labels, scores
 
 
 def _id_columns(path_or_stream, n):
-    """(TrialTable, float64 scores) of a trial or score file, a block at a
-    time (see `_line_columns`): the IDs interned, in order of first
-    appearance, and the record line numbers kept on the table as a `range`
-    or `array` per block (see `_located`)."""
+    """(TrialTable, float64 scores, record line numbers) of a trial or
+    score file, a block at a time (see `_line_columns`): the IDs interned,
+    in order of first appearance, and the line numbers a `range` or
+    `array` per block, for `_located` alone."""
     vocab = defaultdict(count().__next__)  # codes in order of first appearance
     codes, labels, scores, linenos, lineno = array("q"), array("b"), array("d"), [], 0
     for text in _blocks(path_or_stream):
@@ -183,12 +183,12 @@ def _id_columns(path_or_stream, n):
         linenos.append(block_linenos)
         lineno += lines
     codes = np.asarray(codes)
-    return TrialTable._of_codes(map(sys.intern, vocab), codes[0::2], codes[1::2], labels, linenos), scores
+    return TrialTable._of_codes(map(sys.intern, vocab), codes[0::2], codes[1::2], labels), scores, linenos
 
 
-def _located(table, e):
-    """`e`, raised for record `e.row` of a table `_id_columns` read, at that record's line."""
-    line = next(islice(chain.from_iterable(table._linenos), e.row, None))
+def _located(linenos, e):
+    """`e`, raised for record `e.row` of a file `_id_columns` read, at its line in `linenos`."""
+    line = next(islice(chain.from_iterable(linenos), e.row, None))
     return (DuplicateTrial(f"{e} (line {line})") if isinstance(e, DuplicateTrial)
             else ParseError(str(e), line=line))
 
@@ -340,31 +340,35 @@ def parse_trials(path_or_stream):
     return _id_columns(path_or_stream, 2)[0]
 
 
+def _write_runs(table, lines, path_or_stream):
+    """Write `lines(run, enroll IDs, test IDs, label codes)` of each run of `table`'s
+    records, after checking every enroll ID, then every test ID, before opening the target."""
+    runs = [slice(lo, lo + _RECORDS) for lo in range(0, len(table), _RECORDS)]
+    for column, first in ((0, True), (1, False)):
+        for run in runs:
+            _check_ids(table._sides(table._ids, run)[column], first)
+    _write_all(("".join(lines(run, *table._sides(table._ids, run), table._labels[run].tolist()))
+                for run in runs), path_or_stream)
+
+
 def write_trials(trials, path_or_stream):
-    enroll, test, labels = tuple(zip(*trials)) or ((), (), ())
-    _check_ids(enroll, first=True)
-    _check_ids(test, first=False)
-    _write_all("".join([f"{e} {t}{_LABEL_SUFFIX[LABEL_CODE[label]]}\n"
-                        for e, t, label in zip(enroll, test, labels)]), path_or_stream)
+    table = trials if isinstance(trials, TrialTable) else TrialTable(trials)
+    _write_runs(table, lambda run, enroll, test, codes: [
+        f"{e} {t}{_LABEL_SUFFIX[c]}\n" for e, t, c in zip(enroll, test, codes)], path_or_stream)
 
 
 def parse_scores(path_or_stream):
-    table, scores = _id_columns(path_or_stream, 3)
+    table, scores, linenos = _id_columns(path_or_stream, 3)
     try:
         return ScoreSet._of_table(table, scores)
     except (DuplicateTrial, ValueError) as e:  # a repeated trial, a non-finite score
-        raise _located(table, e) from None
+        raise _located(linenos, e) from None
 
 
 def write_scores(scores, path_or_stream):
-    table = scores._table
-    runs = [slice(lo, lo + _RECORDS) for lo in range(0, len(scores), _RECORDS)]
-    for column, first in ((0, True), (1, False)):  # every enroll ID, then every test ID
-        for run in runs:
-            _check_ids(table._sides(table._ids, run)[column], first)
-    _write_all(("".join([f"{e} {t} {v!r}{_LABEL_SUFFIX[c]}\n" for e, t, c, v in zip(
-                    *table._sides(table._ids, run), table._labels[run].tolist(),
-                    scores._scores[run].tolist())]) for run in runs), path_or_stream)
+    _write_runs(scores._table, lambda run, enroll, test, codes: [
+        f"{e} {t} {v!r}{_LABEL_SUFFIX[c]}\n"
+        for e, t, c, v in zip(enroll, test, codes, scores._scores[run].tolist())], path_or_stream)
 
 
 # ------------------------------------------------------------------- gates

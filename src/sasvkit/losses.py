@@ -66,15 +66,7 @@ class CircleConfig:
         if not (self.weight >= 0 and math.isfinite(self.weight)):
             raise ValueError("weight must be finite and >= 0")
 
-    # derived constants of the pairwise loss
-    @property
-    def delta_p(self):
-        return 1.0 - self.margin
-
-    @property
-    def delta_n(self):
-        return self.margin
-
+    # the self-paced weights' optima: a_p = max(0, o_p - s_p), a_n = max(0, s_n - o_n)
     @property
     def o_p(self):
         return 1.0 + self.margin
@@ -269,8 +261,8 @@ def circle_loss(pairs, cfg=CircleConfig(), alphas=None):
     g = cfg.gamma
     a_p, a_n = circle_alphas(pairs, cfg) if alphas is None else alphas
 
-    logit_p = -g * a_p * (sp - cfg.delta_p)
-    logit_n = g * a_n * (sn - cfg.delta_n)
+    logit_p = -g * a_p * (sp - (1.0 - cfg.margin))
+    logit_n = g * a_n * (sn - cfg.margin)
     log_p, log_n = _log_softmax(logit_p), _log_softmax(logit_n)
     # logsumexp(z) = z - log_softmax(z), read at the max where it is exact
     t = (np.max(logit_p) - np.max(log_p)) + (np.max(logit_n) - np.max(log_n))

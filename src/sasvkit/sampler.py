@@ -7,9 +7,9 @@ normalization stands in for a real embedding network; plain SGD on the
 combined margin + pairwise loss is enough to demonstrate that the loss
 kernels actually reduce verification error.
 
-PK batches are dealt from per-speaker chunk index matrices, and held-out
-trials are (enroll row, test row) index pairs of one embedding matrix,
-scored together. Everything is deterministic given the configured seeds.
+PK batches are dealt from per-speaker chunk index matrices; held-out and
+`gen-synth` trials are one drawer's labelled TrialTable over the rows of
+one embedding matrix. Everything is deterministic given the seeds.
 """
 
 import math
@@ -228,20 +228,26 @@ def train_toy(dataset, model0, tc, pk):
     return model, history
 
 
-def _draw_pairs(rng, n_spk, per_spk, n_target, n_nontarget):
-    """(enroll rows, test rows) over rows s * per_spk + u: `n_target`
-    same-speaker pairs of distinct rows, then `n_nontarget` cross-speaker
-    pairs, each class one uniform draw without replacement of indices
-    into all its pairs; the second utterance (speaker) skips the first."""
-    p = per_spk
+def _draw_pairs(rng, ids, per_spk, n_trials):
+    """A labelled TrialTable of `n_trials` distinct trials over `ids`,
+    utterance u of speaker s at s * per_spk + u: target trials of two
+    utterances, half the trials rounded up (all, with one speaker) but
+    no more than there are such pairs, then nontarget trials. Each class
+    is one uniform draw without replacement of indices into all its
+    pairs; the second utterance (speaker) skips the first."""
+    p, n_spk = per_spk, len(ids) // per_spk
+    n_target = min(n_trials - n_trials // 2 if n_spk > 1 else n_trials, n_spk * p * (p - 1))
+    n_nontarget = n_trials - n_target
     t = rng.choice(n_spk * p * (p - 1), n_target, replace=False)
     s, u1, u2 = np.unravel_index(t, (n_spk, p, p - 1))
     u2 += u2 >= u1
     c = rng.choice(n_spk * (n_spk - 1) * p * p, n_nontarget, replace=False)
     s1, s2, v1, v2 = np.unravel_index(c, (n_spk, n_spk - 1, p, p))
     s2 += s2 >= s1
-    return (np.concatenate((s * p + u1, s1 * p + v1)),
-            np.concatenate((s * p + u2, s2 * p + v2)))
+    labels = np.repeat([LABEL_CODE[TrialLabel.TARGET], LABEL_CODE[TrialLabel.NONTARGET]],
+                       (n_target, n_nontarget))
+    return TrialTable._of_codes(ids, np.concatenate((s * p + u1, s1 * p + v1)),
+                                np.concatenate((s * p + u2, s2 * p + v2)), labels)
 
 
 def eval_toy(model, dataset, n_trials, seed=0):
@@ -250,25 +256,22 @@ def eval_toy(model, dataset, n_trials, seed=0):
     Held-out utterances are drawn from the dataset's stored generation
     config (means + noise) with an independent seed and embedded with
     the model into one matrix, row s * per_spk + u for utterance u of
-    speaker s. Distinct (enroll row, test row) pairs, targets first, are
-    drawn by `_draw_pairs` and scored in one pass of `score_trials`'
-    cosine kernel; a zero-norm embedding in a trial raises ZeroNorm.
-    With a single-speaker dataset only target trials can be built.
+    speaker s. `_draw_pairs` draws the trials over those rows, scored in
+    one pass of `score_trials`' cosine kernel; a zero-norm embedding in
+    a trial raises ZeroNorm. With a single-speaker dataset only target
+    trials can be built.
     """
     if n_trials < 1:
         raise BadParams("n_trials must be >= 1")
     if dataset.means is None or dataset.noise is None:
         raise BadParams("dataset lacks generation config for held-out draws")
     rng = np.random.default_rng(seed)
-    n_spk = dataset.n_speakers
-    per_spk = max(2, math.ceil(2 * n_trials / n_spk))
-    held = _draw_utterances(rng, dataset.means, dataset.noise, per_spk)
-    emb = model.embed(held.reshape(-1, dataset.d_in))
-    n_nontarget = n_trials // 2 if n_spk > 1 else 0
-    n_target = n_trials - n_nontarget
-    enroll, test = _draw_pairs(rng, n_spk, per_spk, n_target, n_nontarget)
-    norms = np.linalg.norm(emb, axis=1)
+    per_spk = max(2, math.ceil(2 * n_trials / dataset.n_speakers))
+    # the features are not kept: with the IDs and the draw they would raise the peak
+    emb = model.embed(_draw_utterances(rng, dataset.means, dataset.noise, per_spk)
+                      .reshape(-1, dataset.d_in))
     ids = [f"{sid}-ho{u:03d}" for sid in dataset.speaker_ids for u in range(per_spk)]
-    codes = [LABEL_CODE[TrialLabel.TARGET], LABEL_CODE[TrialLabel.NONTARGET]]
-    table = TrialTable._of_codes(ids, enroll, test, np.repeat(codes, (n_target, n_nontarget)))
+    table = _draw_pairs(rng, ids, per_spk, n_trials)
+    enroll, test = table._sides(np.arange(len(ids)))
+    norms = np.linalg.norm(emb, axis=1)
     return ScoreSet._of_table(table, _pair_cosines(emb, norms, enroll, test))

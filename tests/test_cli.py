@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -602,6 +603,23 @@ def test_moe_demo_stdout_is_golden(tmp_path, capsys, top_k, unweighted):
                      rng.standard_normal(12))
     assert main(argv + ["--top-k", str(top_k)] + ["--unweighted"] * unweighted) == 0
     assert capsys.readouterr().out == _MOE_GATE_PROBS + _MOE_GOLDEN[top_k, unweighted]
+
+
+_SYNTH = ["--speakers", "6", "--utts", "5", "--dim", "8"]
+
+
+def test_synthetic_outputs_are_golden(tmp_path, capsys):
+    # recorded before gen-synth and eval_toy drew their trials with one drawer
+    trials = tmp_path / "trials.txt"
+    assert main(["gen-synth", *_SYNTH, "--seed", "3", "--n-trials", "40",
+                 "--out", str(tmp_path / "emb.txt"), "--trials-out", str(trials)]) == 0
+    # integer draws only, so the digest does not depend on the machine
+    assert hashlib.sha256(trials.read_bytes()).hexdigest() == (
+        "608fe063a26b3dea49d6b6906ef0fe92a51a054e6f7247e0e26876cb37990ed9")
+    assert main(["train-toy", *_SYNTH, "--emb-dim", "4", "--steps", "50", "--p", "3",
+                 "--k", "2", "--eval-trials", "40", "--data-seed", "3", "--train-seed", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "initial_sv_eer=0.350000\nfinal_sv_eer=0.000000\nfinal_loss=0.095170\n")
 
 
 @pytest.mark.parametrize("unweighted, weights, fused", [

@@ -122,7 +122,8 @@ def test_from_columns_reports_the_first_offending_record():
         ScoreSet.from_columns(["e"], ["t"], [unlabeled], [0.0, 1.0])
     with pytest.raises(ValueError, match="non-empty"):
         ScoreSet.from_columns([""], ["t"], [unlabeled], [0.0])
-    for code in (-1, 4):
+    # a code is an integer in 0..3: not a bool, a float or a string
+    for code in (-1, 4, 300, 1.5, True, "1"):
         with pytest.raises(ValueError, match="^unknown label code$"):
             ScoreSet.from_columns(["e"], ["t"], [code], [0.0])
     s = ScoreSet.from_columns(["e", "e"], ["t", "t2"], [0, 3], [0.5, -1.0])

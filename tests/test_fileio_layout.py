@@ -14,9 +14,15 @@ from hypothesis import strategies as st
 
 from sasvkit import fileio
 from sasvkit.cli import main
-from sasvkit.core import EmbeddingSet, Trial, TrialLabel
+from sasvkit.core import EmbeddingSet, ScoreSet, Trial, TrialLabel, TrialTable
 from sasvkit.errors import SasvError
-from sasvkit.fileio import parse_scores, parse_trials, write_embeddings_binary, write_trials
+from sasvkit.fileio import (
+    parse_scores,
+    parse_trials,
+    write_embeddings_binary,
+    write_scores,
+    write_trials,
+)
 
 # IDs that repeat, one of two bytes, one that starts a comment as a first
 # field, one that holds and one that starts with a line break of
@@ -45,13 +51,13 @@ def _failure(e):
 
 
 def _columns(data, n):
-    """The columns of `_id_columns`' table of `data` and its scores, with
-    the line numbers flat, or its error."""
+    """The columns of `_id_columns`' table of `data`, its scores and its
+    record line numbers, flat, or its error."""
     try:
-        table, scores = fileio._id_columns(io.BytesIO(data), n)
+        table, scores, linenos = fileio._id_columns(io.BytesIO(data), n)
     except SasvError as e:
         return _failure(e)
-    return (table._ids.tolist(), table._keys.tolist(), list(chain.from_iterable(table._linenos)),
+    return (table._ids.tolist(), table._keys.tolist(), list(chain.from_iterable(linenos)),
             table._labels.tolist(), scores.tobytes())
 
 
@@ -130,21 +136,58 @@ def test_only_blocks_in_the_writers_layout_take_the_whole_block_path():
     assert _fast_blocks(b"e t1\ne t2 spoof\n" * 5, 2, 1 << 16) == [False]
 
 
-def test_a_parsed_trial_list_keeps_at_most_32_bytes_a_trial(tmp_path):
+def _trials_20k():
+    """20,000 distinct labelled trials over 2,000 IDs."""
     rng = np.random.default_rng(3)
     ids = [f"spk{i // 20:03d}-utt{i % 20:03d}" for i in range(2000)]
     pairs = rng.choice(2000 * 2000, 20000, replace=False)
     labels = list(TrialLabel)[:3]
-    path = tmp_path / "trials.txt"
-    write_trials([Trial(ids[p // 2000], ids[p % 2000], labels[p % 3]) for p in pairs.tolist()],
-                 str(path))
-    # two int64 codes and an int8 label a trial, and each ID once: about
-    # 25 bytes; a list of Trial tuples keeps about 85
+    return [Trial(ids[p // 2000], ids[p % 2000], labels[p % 3]) for p in pairs.tolist()]
+
+
+def _traced(f, *args):
+    """(result, bytes it retains, peak bytes) of `f(*args)`, by tracemalloc."""
     tracemalloc.start()
     try:
-        trials = parse_trials(str(path))
-        retained, _ = tracemalloc.get_traced_memory()
+        result = f(*args)
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, retained, peak
+
+
+def test_a_parsed_trial_list_keeps_at_most_32_bytes_a_trial(tmp_path):
+    path = tmp_path / "trials.txt"
+    write_trials(_trials_20k(), str(path))
+    # two int64 codes and an int8 label a trial, and each ID once: about
+    # 25 bytes; a list of Trial tuples keeps about 85
+    trials, retained, _ = _traced(parse_trials, str(path))
     assert len(trials) == 20000 and len(set(chain.from_iterable(t[:2] for t in trials))) == 2000
     assert retained <= 32 * len(trials)
+
+
+def test_writing_a_trial_table_peaks_below_its_file_size(tmp_path):
+    # the writer formats a run of records at a time from the table's
+    # codes, rather than a Trial a record and the whole file as a string
+    table, path = TrialTable(_trials_20k()), tmp_path / "trials.txt"
+    _, _, peak = _traced(write_trials, table, str(path))
+    assert parse_trials(str(path)) == table
+    assert peak < path.stat().st_size
+
+
+def test_comments_between_score_records_are_not_retained(tmp_path):
+    trials = _trials_20k()
+    scores = ScoreSet((t, i / 7) for i, t in enumerate(trials))
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    write_scores(scores, str(plain))
+    commented.write_text("".join(line + "# c\n" for line in plain.read_text().splitlines(True)))
+    # kept alive, so that neither parse adds its IDs to the interpreter's
+    # table of interned strings, whose growth would count as retained
+    interned = parse_scores(str(plain))
+    retained = []
+    for path in (plain, commented):
+        parsed, size, _ = _traced(parse_scores, str(path))
+        assert list(parsed) == list(scores)
+        retained.append(size)
+    # the record lines of a commented file are not kept beside the set
+    assert retained[1] - retained[0] < len(trials) and len(interned) == len(trials)

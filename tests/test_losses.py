@@ -350,8 +350,8 @@ def _circle_loss_scipy(pairs, cfg, alphas):
     # the pairwise loss written with scipy.special, as an oracle
     sp, sn = pairs.s_p, pairs.s_n
     a_p, a_n = alphas
-    logit_p = -cfg.gamma * a_p * (sp - cfg.delta_p)
-    logit_n = cfg.gamma * a_n * (sn - cfg.delta_n)
+    logit_p = -cfg.gamma * a_p * (sp - (1 - cfg.margin))
+    logit_n = cfg.gamma * a_n * (sn - cfg.margin)
     t = logsumexp(logit_p) + logsumexp(logit_n)
     sig = expit(t)
     return (float(np.logaddexp(0.0, t)),

@@ -322,11 +322,16 @@ def test_gen_synthetic_matches_the_per_speaker_reference(n_spk, utts, d_in, nois
     (4, 3, 24, 108),
 ])
 def test_draw_pairs_gives_distinct_pairs_of_each_class(n_spk, per_spk, n_target, n_nontarget):
+    ids = [f"s{s}u{u}" for s in range(n_spk) for u in range(per_spk)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        enroll, test = sampler_mod._draw_pairs(np.random.default_rng(5), n_spk, per_spk,
-                                               n_target, n_nontarget)
+        table = sampler_mod._draw_pairs(np.random.default_rng(5), ids, per_spk,
+                                        n_target + n_nontarget)
+    enroll, test = table._sides(np.arange(len(ids)))
     n = n_target + n_nontarget
+    assert [trial[:2] for trial in table] == [(ids[e], ids[t]) for e, t in zip(enroll, test)]
+    assert [t.label for t in table] == ([TrialLabel.TARGET] * n_target
+                                       + [TrialLabel.NONTARGET] * n_nontarget)
     assert enroll.shape == test.shape == (n,)
     assert np.all((0 <= enroll) & (enroll < n_spk * per_spk))
     assert np.all((0 <= test) & (test < n_spk * per_spk))
