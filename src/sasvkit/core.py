@@ -287,11 +287,14 @@ class ScoreSet:
         appending the records one by one would; the exception's `row` is
         that record's row.
         """
+        # np.asarray makes an int column of codes with a bool among them
+        mixed = not isinstance(labels, np.ndarray) and any(
+            isinstance(c, (bool, np.bool_)) for c in labels)
         enroll, test, labels = list(enroll), list(test), np.asarray(labels)
         if not (len(enroll) == len(test) == len(labels) and np.shape(scores) == labels.shape):
             raise ValueError("score set columns differ in length")
-        if labels.size and not (labels.dtype.kind in "iu"
-                                and 0 <= labels.min() <= labels.max() < len(LABELS)):
+        if labels.size and (mixed or not (labels.dtype.kind in "iu"
+                                          and 0 <= labels.min() <= labels.max() < len(LABELS))):
             raise ValueError("unknown label code")
         trials = map(Trial, enroll, test, map(LABELS.__getitem__, labels.tolist()))
         return cls._of_table(TrialTable(trials), scores)

@@ -7,9 +7,10 @@ normalization stands in for a real embedding network; plain SGD on the
 combined margin + pairwise loss is enough to demonstrate that the loss
 kernels actually reduce verification error.
 
-PK batches are dealt from per-speaker chunk index matrices; held-out and
-`gen-synth` trials are one drawer's labelled TrialTable over the rows of
-one embedding matrix. Everything is deterministic given the seeds.
+PK batches are dealt one at a time from per-speaker chunk index matrices
+and utterances drawn in place; held-out and `gen-synth` trials are one
+drawer's labelled TrialTable over the rows of one embedding matrix.
+Everything is deterministic given the seeds.
 """
 
 import math
@@ -28,6 +29,8 @@ from .errors import (
 )
 from .losses import LossBatch, combined_loss
 from .scoring import _pair_cosines
+
+_BLOCK = 16  # speakers per block of utterance norms and held-out embeddings
 
 
 class SpeakerDataset:
@@ -155,10 +158,14 @@ def gen_synthetic(n_speakers, utts_per_speaker, d_in, noise, seed=0):
 
 
 def _draw_utterances(rng, means, noise, per_spk):
-    """`per_spk` features normalize(mean + noise * N(0, I)) per row of `means`: S x per_spk x D."""
-    n_spk, dim = means.shape
-    raw = means[:, None, :] + noise * rng.standard_normal((n_spk, per_spk, dim))
-    return raw / np.linalg.norm(raw, axis=2, keepdims=True)
+    """`per_spk` features normalize(mean + noise * N(0, I)) per row of `means`: S x per_spk x D,
+    drawn in the output array, with the norms of `_BLOCK` speakers at a time."""
+    z = rng.standard_normal((len(means), per_spk, means.shape[1]))
+    z *= noise
+    z += means[:, None, :]
+    for lo in range(0, len(z), _BLOCK):
+        z[lo:lo + _BLOCK] /= np.linalg.norm(z[lo:lo + _BLOCK], axis=2, keepdims=True)
+    return z
 
 
 def pk_batches(dataset, cfg):
@@ -174,6 +181,11 @@ def pk_batches(dataset, cfg):
     Returns a list of (features, labels) with labels the integer index
     of the speaker in dataset.speaker_ids.
     """
+    return list(_deal(dataset, cfg))
+
+
+def _deal(dataset, cfg):
+    """The batches of `pk_batches`, dealt one at a time."""
     if cfg.P > dataset.n_speakers:
         raise TooFewSpeakers(
             f"P={cfg.P} but dataset has {dataset.n_speakers} speakers"
@@ -185,33 +197,29 @@ def pk_batches(dataset, cfg):
         for n in map(len, feats)
     ]
     left = np.array([c.shape[0] for c in chunks])
-    batches = []
     while np.count_nonzero(left) >= cfg.P:
         available = np.flatnonzero(left)
         # most-chunks-first keeps per-speaker usage proportional
         jitter = rng.permutation(available.size)
         chosen = available[np.lexsort((jitter, -left[available]))[: cfg.P]]
         left[chosen] -= 1
-        batches.append((
-            np.concatenate([feats[s][chunks[s][left[s]]] for s in chosen]),
-            np.repeat(chosen, cfg.K).astype(np.int64),
-        ))
-    return batches
+        yield (np.concatenate([feats[s][chunks[s][left[s]]] for s in chosen]),
+               np.repeat(chosen, cfg.K).astype(np.int64))
 
 
 def train_toy(dataset, model0, tc, pk):
     """Plain SGD on the combined loss over PK batches.
 
     Returns (trained model, per-step loss history). The input model and
-    dataset are never mutated. Batches cycle through fresh epochs (seed
-    advanced per epoch) until `steps` updates have been applied.
+    dataset are never mutated. Batches are dealt one at a time through
+    fresh epochs (seed advanced per epoch) until `steps` updates are applied.
     """
     model = model0.copy()
     history = []
     epochs = chain.from_iterable(
-        pk_batches(dataset, PkConfig(P=pk.P, K=pk.K, seed=pk.seed + e)) for e in count()
+        _deal(dataset, PkConfig(P=pk.P, K=pk.K, seed=pk.seed + e)) for e in count()
     )
-    # zip draws from range first, so no epoch is sampled past the last step
+    # zip draws from range first, so no batch is dealt past the last step
     for step, (feats, labels) in zip(range(tc.steps), epochs):
         raw_emb = model.embed(feats)
         try:
@@ -255,11 +263,11 @@ def eval_toy(model, dataset, n_trials, seed=0):
 
     Held-out utterances are drawn from the dataset's stored generation
     config (means + noise) with an independent seed and embedded with
-    the model into one matrix, row s * per_spk + u for utterance u of
-    speaker s. `_draw_pairs` draws the trials over those rows, scored in
-    one pass of `score_trials`' cosine kernel; a zero-norm embedding in
-    a trial raises ZeroNorm. With a single-speaker dataset only target
-    trials can be built.
+    the model, a block of speakers at a time, into one matrix, row
+    s * per_spk + u for utterance u of speaker s. `_draw_pairs` draws
+    the trials over those rows, scored in one pass of `score_trials`'
+    cosine kernel; a zero-norm embedding in a trial raises ZeroNorm.
+    With a single-speaker dataset only target trials can be built.
     """
     if n_trials < 1:
         raise BadParams("n_trials must be >= 1")
@@ -267,9 +275,11 @@ def eval_toy(model, dataset, n_trials, seed=0):
         raise BadParams("dataset lacks generation config for held-out draws")
     rng = np.random.default_rng(seed)
     per_spk = max(2, math.ceil(2 * n_trials / dataset.n_speakers))
-    # the features are not kept: with the IDs and the draw they would raise the peak
-    emb = model.embed(_draw_utterances(rng, dataset.means, dataset.noise, per_spk)
-                      .reshape(-1, dataset.d_in))
+    # one block's features at a time, none kept: the rng stream is that of one draw of them all
+    emb = np.empty((dataset.n_speakers * per_spk, model.projection.shape[0]))
+    for lo in range(0, dataset.n_speakers, _BLOCK):
+        emb[lo * per_spk:(lo + _BLOCK) * per_spk] = model.embed(_draw_utterances(
+            rng, dataset.means[lo:lo + _BLOCK], dataset.noise, per_spk).reshape(-1, dataset.d_in))
     ids = [f"{sid}-ho{u:03d}" for sid in dataset.speaker_ids for u in range(per_spk)]
     table = _draw_pairs(rng, ids, per_spk, n_trials)
     enroll, test = table._sides(np.arange(len(ids)))

@@ -133,6 +133,13 @@ def test_from_columns_reports_the_first_offending_record():
             s.with_scores(scores)
 
 
+@pytest.mark.parametrize("labels", [[0, True], [np.int64(0), np.True_]])
+def test_from_columns_rejects_a_bool_among_the_codes(labels):
+    # np.asarray would read either list as the int codes 0 and 1
+    with pytest.raises(ValueError, match="^unknown label code$"):
+        ScoreSet.from_columns(["e", "f"], ["t", "t"], labels, [0.0, 0.0])
+
+
 def test_derived_set_shares_keys_until_either_appends():
     src = ScoreSet([(Trial("e", "t", TrialLabel.TARGET), 1.0)])
     derived = src.with_scores([2.0])

@@ -491,6 +491,31 @@ def test_rejected_write_leaves_a_path_untouched(tmp_path):
     assert parse_trials(str(absent)) == [Trial("e", "#t", TrialLabel.SPOOF)]
 
 
+def test_writers_name_a_late_bad_enroll_id_before_an_early_bad_test_id(tmp_path):
+    # every enroll ID is checked before any test ID, across runs of records
+    trials = [Trial(f"e{i}", "t x" if i == 0 else f"t{i}", TrialLabel.TARGET) for i in range(6000)]
+    trials[5000] = Trial("#e", "t5000", TrialLabel.TARGET)
+    path = tmp_path / "out.txt"
+    for write, records in ((write_trials, trials),
+                           (write_scores, ScoreSet((t, 0.5) for t in trials))):
+        with pytest.raises(ValueError, match=r"^ID '#e' is not a text field"):
+            write(records, str(path))
+        assert not path.exists()
+
+
+def test_writers_name_the_first_bad_enroll_id_in_record_order(tmp_path):
+    # '#x' is coded first (as record 0's test ID) but is first an enroll ID at record 5,000
+    trials = [Trial(f"e{i}", "#x" if i == 0 else f"t{i}", TrialLabel.TARGET) for i in range(6000)]
+    trials[3000] = Trial("a b", "t3000", TrialLabel.TARGET)
+    trials[5000] = Trial("#x", "t5000", TrialLabel.TARGET)
+    path = tmp_path / "out.txt"
+    for write, records in ((write_trials, trials),
+                           (write_scores, ScoreSet((t, 0.5) for t in trials))):
+        with pytest.raises(ValueError, match=r"^ID 'a b' is not a text field"):
+            write(records, str(path))
+        assert not path.exists()
+
+
 def test_text_embedding_writer_rejects_a_first_id_that_starts_with_the_magic(tmp_path):
     # parse_embeddings would read such a file as binary
     path = tmp_path / "emb.txt"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -285,19 +286,56 @@ def test_toy_model_random_rejects_bad_sizes(d_emb, d_in, n_classes, named):
 def test_train_toy_samples_no_epoch_past_the_last_step(monkeypatch):
     ds = gen_synthetic(4, 6, 8, noise=0.15, seed=5)
     pk = PkConfig(P=2, K=2, seed=3)
-    seeds = []
+    dealt = []  # the epoch seed of every batch handed out
+    deal = sampler_mod._deal
 
-    def counting_pk_batches(dataset, cfg):
-        seeds.append(cfg.seed)
-        return pk_batches(dataset, cfg)
+    def counting_deal(dataset, cfg):
+        for batch in deal(dataset, cfg):
+            dealt.append(cfg.seed)
+            yield batch
 
-    monkeypatch.setattr(sampler_mod, "pk_batches", counting_pk_batches)
+    monkeypatch.setattr(sampler_mod, "_deal", counting_deal)
     model0 = ToyModel.random(6, 8, 4, seed=1)
     train_toy(ds, model0, TrainConfig(steps=0), pk)
-    assert seeds == []
-    # 6 batches an epoch: 12 steps use exactly two epochs
+    assert dealt == []
+    # 6 batches an epoch: 12 steps use exactly two epochs, one batch a step
     train_toy(ds, model0, TrainConfig(steps=12, learning_rate=0.05), pk)
-    assert seeds == [3, 4]
+    assert dealt == [3] * 6 + [4] * 6
+
+
+def _traced_peak(fn):
+    """(result, peak bytes traced above the start) of `fn()`."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_synthetic_peaks_near_its_features():
+    ds, peak = _traced_peak(lambda: gen_synthetic(200, 50, 64, noise=0.15, seed=1))
+    features = sum(f.nbytes for f in ds.speakers.values())  # 5.1 MB
+    assert peak < 1.3 * features
+
+
+def test_train_toy_holds_one_batch_not_an_epoch():
+    ds = gen_synthetic(200, 50, 64, noise=0.15, seed=1)
+    model0 = ToyModel.random(32, 64, 200, seed=1)
+    features = sum(f.nbytes for f in ds.speakers.values())
+    _, peak = _traced_peak(lambda: train_toy(ds, model0, TrainConfig(steps=5, learning_rate=0.05),
+                                             PkConfig(P=16, K=8, seed=2)))
+    assert peak < features / 2
+
+
+def test_eval_toy_peak_at_the_benchmark_size():
+    ds = gen_synthetic(100, 40, 64, noise=0.15, seed=1)
+    model = ToyModel.random(32, 64, 100, seed=1)
+    scores, peak = _traced_peak(lambda: eval_toy(model, ds, 2000, seed=3))
+    assert len(scores) == 2000
+    # 2.0 MB of held-out features and 1.0 MB of embeddings: never all the features at once
+    assert peak < 3e6
 
 
 @settings(max_examples=200, deadline=None)
