@@ -221,9 +221,8 @@ def _cmd_moe_demo(args):
 
 
 def _dataset_to_embeddings(dataset):
-    feats = [dataset.speakers[sid] for sid in dataset.speaker_ids]
-    ids = [f"{sid}-utt{u:03d}" for sid, f in zip(dataset.speaker_ids, feats) for u in range(len(f))]
-    return EmbeddingSet.from_matrix(ids, np.concatenate(feats))
+    ids = [f"{sid}-utt{u:03d}" for sid, f in dataset.speakers.items() for u in range(len(f))]
+    return EmbeddingSet.from_matrix(ids, dataset._features)
 
 
 def _cmd_gen_synth(args):

@@ -28,8 +28,13 @@ Gradients are exact derivatives of the computation actually performed,
 including normalization of the raw inputs and the arccos clamp (a
 clamped coordinate contributes zero gradient). The kernels are numpy
 only, with no autodiff framework; all are checked by finite differences.
+
+A kernel writes only to arrays it allocated itself, GEMM outputs and
+shifted copies reused in place for its next passes: never to its inputs,
+a batch's unit rows or a PairSet's arrays.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -149,10 +154,19 @@ def _batch_rows(embeddings, labels):
 
 
 def _unit_rows(M):
-    norms = np.linalg.norm(M, axis=1)
+    # np.linalg.norm(M, axis=1)'s own passes, without its dispatch
+    norms = np.sqrt(np.add.reduce(M * M, axis=1))
     if np.any(norms == 0):
         raise InvalidBatch("zero-norm row cannot be normalized")
     return M / norms[:, None], norms
+
+
+@functools.lru_cache(maxsize=8)
+def _upper(B):
+    """The read-only B x B mask of the pairs i < j."""
+    upper = np.triu(np.ones((B, B), dtype=bool), 1)
+    upper.flags.writeable = False
+    return upper
 
 
 def _pair_masks(Xh, y):
@@ -162,23 +176,28 @@ def _pair_masks(Xh, y):
     Boolean indexing reads row-major, so sims[pos] lists the pairs
     (0,1), (0,2), ..., (1,2), ... in that order.
     """
-    idx = np.arange(len(y))
-    upper = idx[:, None] < idx
+    upper = _upper(len(y))
     same = y[:, None] == y
-    return np.clip(Xh @ Xh.T, -1.0, 1.0), upper & same, upper & ~same
+    neg = upper > same  # upper & ~same
+    same &= upper
+    sims = Xh @ Xh.T
+    return np.clip(sims, -1.0, 1.0, out=sims), same, neg
 
 
 def _log_softmax(z, axis=-1):
-    # max-shifted, so exp never overflows
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    # max-shifted, so exp never overflows; z itself is never written to
+    out = z - np.max(z, axis=axis, keepdims=True)
+    out -= np.log(np.sum(np.exp(out), axis=axis, keepdims=True))
+    return out
 
 
 def _backprop_row_normalization(G_hat, M_hat, norms):
-    # d(x/||x||)/dx applied to upstream gradient G_hat:
+    # d(x/||x||)/dx applied to upstream gradient G_hat, in place in G_hat:
     # (G_hat - <G_hat, x_hat> x_hat) / ||x||
-    inner = np.sum(G_hat * M_hat, axis=1, keepdims=True)
-    return (G_hat - inner * M_hat) / norms[:, None]
+    tmp = G_hat * M_hat
+    G_hat -= np.multiply(np.sum(tmp, axis=1, keepdims=True), M_hat, out=tmp)
+    G_hat /= norms[:, None]
+    return G_hat
 
 
 def sphereface_loss(batch, cfg=SphereFaceConfig()):
@@ -193,31 +212,30 @@ def sphereface_loss(batch, cfg=SphereFaceConfig()):
     y, B = batch.labels, batch.size
     s, m, eps = cfg.scale_s, cfg.margin_m, _COS_CLAMP_EPS
 
-    C0 = Xh @ Wh.T
-    Cc = np.clip(C0, -1.0 + eps, 1.0 - eps)
-    active = (C0 > -1.0 + eps) & (C0 < 1.0 - eps)
+    logits = Xh @ Wh.T
+    active = (logits > -1.0 + eps) & (logits < 1.0 - eps)
+    np.clip(logits, -1.0 + eps, 1.0 - eps, out=logits)
 
     rows = np.arange(B)
-    cy = Cc[rows, y]
+    cy = logits[rows, y]
     theta = np.arccos(cy)
-    logits = s * Cc
+    logits *= s
     logits[rows, y] = s * np.cos(m * theta)
     dtarget_dc = s * m * np.sin(m * theta) / np.sqrt(1.0 - cy * cy)
 
     log_p = _log_softmax(logits, axis=1)
     loss = float(-np.mean(log_p[rows, y]))
 
-    dZ = np.exp(log_p)
-    dZ[rows, y] -= 1.0
-    dZ /= B
-    dC = dZ * s
-    dC[rows, y] = dZ[rows, y] * dtarget_dc
+    dC = np.exp(log_p, out=log_p)  # dZ, then dC in place
+    dC[rows, y] -= 1.0
+    dC /= B
+    target = dC[rows, y] * dtarget_dc
+    dC *= s
+    dC[rows, y] = target
     dC *= active
 
-    G_Xh = dC @ Wh
-    G_Wh = dC.T @ Xh
-    grad_X = _backprop_row_normalization(G_Xh, Xh, xn)
-    grad_W = _backprop_row_normalization(G_Wh, Wh, wn)
+    grad_X = _backprop_row_normalization(dC @ Wh, Xh, xn)
+    grad_W = _backprop_row_normalization(dC.T @ Xh, Wh, wn)
     return loss, grad_X, grad_W
 
 
@@ -238,9 +256,9 @@ def mine_pairs(embeddings, labels):
 
 def circle_alphas(pairs, cfg=CircleConfig()):
     """The self-paced weights at the given similarities (for freezing)."""
-    a_p = np.maximum(0.0, cfg.o_p - pairs.s_p)
-    a_n = np.maximum(0.0, pairs.s_n - cfg.o_n)
-    return a_p, a_n
+    a_p = cfg.o_p - pairs.s_p
+    a_n = pairs.s_n - cfg.o_n
+    return np.maximum(0.0, a_p, out=a_p), np.maximum(0.0, a_n, out=a_n)
 
 
 def circle_loss(pairs, cfg=CircleConfig(), alphas=None):
@@ -269,8 +287,8 @@ def circle_loss(pairs, cfg=CircleConfig(), alphas=None):
     loss = float(np.logaddexp(0.0, t))  # log(1 + e^t), stable
 
     sig = np.exp(t - loss)  # sigmoid(t)
-    grad_sp = sig * np.exp(log_p) * (-g * a_p)
-    grad_sn = sig * np.exp(log_n) * (g * a_n)
+    grad_sp = sig * np.exp(log_p, out=log_p) * (-g * a_p)
+    grad_sn = sig * np.exp(log_n, out=log_n) * (g * a_n)
     return loss, grad_sp, grad_sn
 
 
@@ -290,9 +308,9 @@ def combined_loss(batch, sf=SphereFaceConfig(), cc=CircleConfig(), frozen_alphas
                                            alphas=frozen_alphas)
     total = sf_loss + cc.weight * c_loss
     G = np.zeros_like(sims)
-    G[pos] = cc.weight * grad_sp
-    G[neg] = cc.weight * grad_sn
-    grad_X += _backprop_row_normalization((G + G.T) @ Xh, Xh, xn)
+    G[pos] = np.multiply(cc.weight, grad_sp, out=grad_sp)
+    G[neg] = np.multiply(cc.weight, grad_sn, out=grad_sn)
+    grad_X += _backprop_row_normalization(np.add(G, G.T, out=sims) @ Xh, Xh, xn)
     return total, grad_X, grad_W
 
 

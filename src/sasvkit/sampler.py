@@ -7,15 +7,16 @@ normalization stands in for a real embedding network; plain SGD on the
 combined margin + pairwise loss is enough to demonstrate that the loss
 kernels actually reduce verification error.
 
-PK batches are dealt one at a time from per-speaker chunk index matrices
-and utterances drawn in place; held-out and `gen-synth` trials are one
-drawer's labelled TrialTable over the rows of one embedding matrix.
-Everything is deterministic given the seeds.
+A dataset is one feature matrix, a block of rows per speaker; PK batches
+are dealt one at a time, each one row gather. Held-out and `gen-synth`
+trials are one drawer's labelled TrialTable over the rows of one
+embedding matrix. Everything is deterministic given the seeds.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import chain, count
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,32 +37,50 @@ _BLOCK = 16  # speakers per block of utterance norms and held-out embeddings
 class SpeakerDataset:
     """Speaker-ID -> feature matrix map plus the generation config.
 
-    `means` (one unit direction per speaker) and the noise level are
-    retained so held-out utterances can be drawn from the same
-    distribution at evaluation time.
+    One read-only float64 matrix holds the features, speaker s's rows
+    (any number) at `_starts[s]:_starts[s + 1]`; the read-only `speakers`
+    maps each ID to a view of its rows. `means` (a unit direction per
+    speaker) and the noise level are retained so held-out utterances can
+    be drawn from the same distribution at evaluation time.
     """
 
     def __init__(self, speakers, means=None, noise=None):
         if len(speakers) < 1:
             raise BadParams("dataset needs at least one speaker")
-        dims = set()
-        cleaned = {}
-        for sid, feats in speakers.items():
-            feats = np.asarray(feats, dtype=np.float64)
-            if feats.ndim != 2 or 0 in feats.shape:
+        feats = []
+        for sid, f in speakers.items():
+            f = np.asarray(f, dtype=np.float64)
+            if f.ndim != 2 or 0 in f.shape:
                 raise BadParams(f"features for speaker {sid!r} must be an n x D matrix "
-                                f"with n >= 1 and D >= 1, got shape {feats.shape}")
+                                f"with n >= 1 and D >= 1, got shape {f.shape}")
+            feats.append(f)
+        if len({f.shape[1] for f in feats}) != 1:
+            raise DimensionMismatch("speakers have inconsistent feature dims")
+        self._hold(list(speakers), np.concatenate(feats), [len(f) for f in feats], means, noise)
+
+    def _hold(self, ids, features, counts, means, noise):
+        """Take `features`, `counts[s]` rows per speaker, without a copy; returns self."""
+        features.flags.writeable = False  # before the views are taken: they inherit it
+        self._starts = np.concatenate(([0], np.cumsum(counts)))
+        bounds = self._starts.tolist()
+        speakers = {sid: features[a:b] for sid, a, b in zip(ids, bounds, bounds[1:])}
+        for sid, feats in speakers.items():
             if not np.all(np.isfinite(feats)):
                 raise BadParams(f"non-finite features for speaker {sid!r}")
-            dims.add(feats.shape[1])
-            cleaned[sid] = feats
-        if len(dims) != 1:
-            raise DimensionMismatch("speakers have inconsistent feature dims")
-        self.speakers = cleaned
-        self.speaker_ids = list(cleaned.keys())
-        self.d_in = dims.pop()
+        if means is not None:
+            means = np.asarray(means, dtype=np.float64)
+            if means.shape != (len(ids), features.shape[1]) or not np.all(np.isfinite(means)):
+                raise BadParams(f"means must be a finite {len(ids)} x {features.shape[1]} "
+                                f"matrix, got shape {means.shape}")
+        if noise is not None and not (noise >= 0 and math.isfinite(noise)):
+            raise BadParams(f"noise must be finite and >= 0, got {noise}")
+        self._features = features
+        self.speakers = MappingProxyType(speakers)
+        self.speaker_ids = ids
+        self.d_in = features.shape[1]
         self.means = means
         self.noise = noise
+        return self
 
     @property
     def n_speakers(self):
@@ -153,8 +172,10 @@ def gen_synthetic(n_speakers, utts_per_speaker, d_in, noise, seed=0):
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_speakers, d_in))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    feats = _draw_utterances(rng, means, noise, utts_per_speaker)
-    return SpeakerDataset({f"spk{i:03d}": f for i, f in enumerate(feats)}, means=means, noise=noise)
+    feats = _draw_utterances(rng, means, noise, utts_per_speaker).reshape(-1, d_in)
+    ids = [f"spk{i:03d}" for i in range(n_speakers)]
+    return SpeakerDataset.__new__(SpeakerDataset)._hold(ids, feats, [utts_per_speaker] * n_speakers,
+                                                        means, noise)
 
 
 def _draw_utterances(rng, means, noise, per_spk):
@@ -171,12 +192,13 @@ def _draw_utterances(rng, means, noise, per_spk):
 def pk_batches(dataset, cfg):
     """One epoch of PK batches: P distinct speakers x K utterances each.
 
-    Each speaker's shuffled utterance indices, topped up to a multiple
-    of K by sampling its utterances with replacement, form the rows of a
-    ceil(utts/K) x K chunk matrix. Each batch takes the last chunk left
-    of the P speakers with the most chunks left (ties broken at random
-    but seeded, one lexsort per batch), so the epoch covers every
-    utterance. Chunks that cannot fill a P-speaker batch are dropped.
+    Each speaker's shuffled utterance rows, topped up to a multiple of K
+    by sampling its utterances with replacement, form its ceil(utts/K)
+    rows of one chunk matrix of K row indices each. Each batch takes the
+    last chunk left of the P speakers with the most chunks left (ties
+    broken at random but seeded, one lexsort per batch) and gathers
+    their rows at once, so the epoch covers every utterance. Chunks that
+    cannot fill a P-speaker batch are dropped.
 
     Returns a list of (features, labels) with labels the integer index
     of the speaker in dataset.speaker_ids.
@@ -191,20 +213,23 @@ def _deal(dataset, cfg):
             f"P={cfg.P} but dataset has {dataset.n_speakers} speakers"
         )
     rng = np.random.default_rng(cfg.seed)
-    feats = [dataset.speakers[sid] for sid in dataset.speaker_ids]
-    chunks = [
-        np.concatenate((rng.permutation(n), rng.integers(n, size=-n % cfg.K))).reshape(-1, cfg.K)
-        for n in map(len, feats)
-    ]
-    left = np.array([c.shape[0] for c in chunks])
+    K, counts = cfg.K, np.diff(dataset._starts)
+    rows = []  # the speakers' global row indices, each topped up to a multiple of K
+    for start, n in zip(dataset._starts.tolist(), counts.tolist()):
+        rows.append(rng.permutation(n) + start)
+        if n % K:  # a size-0 draw would leave rng as it is
+            rows.append(rng.integers(n, size=-n % K) + start)
+    chunks = np.concatenate(rows).reshape(-1, K)
+    left = -(-counts // K)  # chunks per speaker
+    first = np.cumsum(left) - left  # each speaker's first row of `chunks`
     while np.count_nonzero(left) >= cfg.P:
         available = np.flatnonzero(left)
         # most-chunks-first keeps per-speaker usage proportional
         jitter = rng.permutation(available.size)
         chosen = available[np.lexsort((jitter, -left[available]))[: cfg.P]]
         left[chosen] -= 1
-        yield (np.concatenate([feats[s][chunks[s][left[s]]] for s in chosen]),
-               np.repeat(chosen, cfg.K).astype(np.int64))
+        yield (dataset._features[chunks[first[chosen] + left[chosen]].ravel()],
+               np.repeat(chosen, K).astype(np.int64))
 
 
 def train_toy(dataset, model0, tc, pk):
@@ -280,7 +305,8 @@ def eval_toy(model, dataset, n_trials, seed=0):
     for lo in range(0, dataset.n_speakers, _BLOCK):
         emb[lo * per_spk:(lo + _BLOCK) * per_spk] = model.embed(_draw_utterances(
             rng, dataset.means[lo:lo + _BLOCK], dataset.noise, per_spk).reshape(-1, dataset.d_in))
-    ids = [f"{sid}-ho{u:03d}" for sid in dataset.speaker_ids for u in range(per_spk)]
+    suffixes = [f"{u:03d}" for u in range(per_spk)]  # joined to prefixes made once
+    ids = [sid + u for sid in [f"{sid}-ho" for sid in dataset.speaker_ids] for u in suffixes]
     table = _draw_pairs(rng, ids, per_spk, n_trials)
     enroll, test = table._sides(np.arange(len(ids)))
     norms = np.linalg.norm(emb, axis=1)

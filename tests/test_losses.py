@@ -17,6 +17,7 @@ from sasvkit.losses import (
     PairSet,
     SphereFaceConfig,
     _log_softmax,
+    _upper,
     circle_alphas,
     circle_loss,
     combined_loss,
@@ -466,3 +467,31 @@ def test_combined_loss_matches_the_index_scatter_reference(case):
     want = oracles.combined_loss_by_index(batch, sf, cc, frozen_alphas=frozen)
     assert got[0] == want[0]
     assert _same_bits(got[1], want[1]) and _same_bits(got[2], want[2])
+
+
+@settings(max_examples=50, deadline=None)
+@given(_reference_batches(), arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=8),
+                                    elements=_LOGIT))
+def test_the_kernels_leave_their_inputs_as_they_were(case, z):
+    batch, cc, frozen = case
+    pairs = mine_pairs(batch.embeddings, batch.labels) if batch.size >= 2 else PairSet([], [])
+    held = [*batch._unit, batch.embeddings, batch.class_weights, batch.labels,
+            pairs.s_p, pairs.s_n, z, *(frozen or ())]
+    before = [a.copy() for a in held]
+    sphereface_loss(batch)
+    combined_loss(batch, SphereFaceConfig(), cc, frozen_alphas=frozen)
+    circle_loss(pairs, cc, alphas=frozen)
+    circle_alphas(pairs, cc)
+    _log_softmax(z, axis=1)
+    _log_softmax(z[0])
+    assert all(_same_bits(a, b) for a, b in zip(held, before))
+
+
+def test_the_cached_pair_mask_is_read_only():
+    upper = _upper(5)
+    assert upper is _upper(5) and not upper.flags.writeable
+    assert np.array_equal(upper, np.arange(5)[:, None] < np.arange(5))
+    with pytest.raises(ValueError, match="read-only"):
+        upper[0, 1] = False
+    with pytest.raises(ValueError, match="read-only"):
+        upper.fill(True)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 from collections import Counter
@@ -377,3 +378,128 @@ def test_draw_pairs_gives_distinct_pairs_of_each_class(n_spk, per_spk, n_target,
     same = enroll // per_spk == test // per_spk
     assert same[:n_target].all() and not same[n_target:].any()
     assert np.all(enroll[:n_target] != test[:n_target])
+
+
+def _three_speakers(**kw):
+    return SpeakerDataset({f"s{i}": np.ones((2, 8)) for i in range(3)}, **kw)
+
+
+@pytest.mark.parametrize("means", [
+    np.ones((2, 8)), np.ones((5, 8)), np.ones((3, 5)), np.ones(8), np.full((3, 8), np.nan),
+    np.full((3, 8), np.inf),
+])
+def test_speaker_dataset_rejects_means_that_are_not_a_finite_row_per_speaker(means):
+    with pytest.raises(BadParams, match="^means must be a finite 3 x 8 matrix"):
+        _three_speakers(means=means, noise=0.1)
+
+
+@pytest.mark.parametrize("noise", [-1.0, np.nan, np.inf])
+def test_speaker_dataset_rejects_a_noise_that_is_not_finite_and_non_negative(noise):
+    with pytest.raises(BadParams, match="^noise must be finite and >= 0"):
+        _three_speakers(means=np.eye(3, 8), noise=noise)
+
+
+def test_speaker_dataset_keeps_a_valid_generation_config():
+    ds = _three_speakers(means=np.eye(3, 8).tolist(), noise=0)
+    assert ds.means.dtype == np.float64 and np.array_equal(ds.means, np.eye(3, 8))
+    assert len(eval_toy(ToyModel.random(4, 8, 3, seed=0), ds, 12, seed=1)) == 12
+
+
+@pytest.mark.parametrize("speaker, row", [("s0", 0), ("s1", 0), ("s2", 0), ("s2", 4)])
+def test_speaker_dataset_names_the_speaker_of_a_non_finite_row(speaker, row):
+    feats = {"s0": np.ones((3, 4)), "s1": np.ones((1, 4)), "s2": np.ones((5, 4))}
+    feats[speaker][row, 1] = np.nan
+    with pytest.raises(BadParams, match=f"^non-finite features for speaker '{speaker}'$"):
+        SpeakerDataset(feats)
+
+
+def test_gen_synthetic_rejects_a_noise_that_overflows_the_features():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BadParams, match="^non-finite features for speaker 'spk000'$"):
+            gen_synthetic(3, 4, 8, noise=1e308, seed=0)
+
+
+def test_speakers_are_read_only_views_of_one_feature_matrix():
+    rng = np.random.default_rng(3)
+    given = {f"s{i}": rng.standard_normal((n, 4)) for i, n in enumerate((3, 1, 5))}
+    ds = SpeakerDataset(given)
+    assert ds.speaker_ids == list(given) and ds.d_in == 4
+    for sid, feats in given.items():
+        view = ds.speakers[sid]
+        assert np.array_equal(view, feats) and not np.shares_memory(view, feats)
+        assert np.shares_memory(view, ds._features) and not view.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ds.speakers["s1"][0, 0] = 0.0
+    with pytest.raises(TypeError):  # a new matrix would not be the one batches come from
+        ds.speakers["s1"] = np.zeros((1, 4))
+    gen = gen_synthetic(4, 3, 5, noise=0.1, seed=2)
+    assert gen._features.shape == (12, 5)
+    assert all(np.shares_memory(f, gen._features) for f in gen.speakers.values())
+
+
+@pytest.mark.parametrize("speakers, n_trials, per_spk", [
+    (("spk000", "spk001", "spk002"), 10, 7),
+    ((7, "b"), 1200, 1200),  # a 4-digit utterance number, an integer speaker ID
+])
+def test_eval_toy_names_held_out_utterances_as_the_f_string_form(speakers, n_trials, per_spk):
+    ds = SpeakerDataset({sid: np.ones((1, 3)) for sid in speakers}, means=np.eye(len(speakers), 3),
+                        noise=0.1)
+    scores = eval_toy(ToyModel.random(2, 3, len(speakers), seed=0), ds, n_trials, seed=1)
+    assert list(scores._table._ids) == [f"{sid}-ho{u:03d}" for sid in speakers
+                                        for u in range(per_spk)]
+
+
+# float.hex of every loss and the SHA-256 of the final parameters' bytes,
+# recorded before the training step was rewritten as in-place array passes
+# (numpy 2.4, OpenBLAS on x86-64: another BLAS build may round its GEMMs
+# differently)
+_RAGGED_HISTORY = [
+    "0x1.9a16c1c115fabp+6", "0x1.1b9704b56c89ep+6", "0x1.a911f02e153ecp+6", "0x1.b951bd579b3d4p+5",
+    "0x1.6203380beeaf7p+6", "0x1.0ec466617354dp+6", "0x1.489ae4625b7e6p+6", "0x1.15e0d7f7f793ap+6",
+    "0x1.2445cd979b786p+6", "0x1.fb58cf76a5befp+5", "0x1.2764b67854934p+6", "0x1.1dffaf5383654p+6",
+    "0x1.8b8d868f25882p+5", "0x1.0729bbc965db7p+6", "0x1.e71e3c208ecafp+5", "0x1.190662ae32f7ep+6",
+    "0x1.662626092f253p+5", "0x1.06f63ddac1020p+6", "0x1.ebe0c0f897d8cp+5", "0x1.16e2e1774bcf0p+4",
+    "0x1.09962ba0a91d8p+6", "0x1.934229e17ab85p+5", "0x1.cb9c4afa77d04p+5", "0x1.1e4aa078ef06fp+6",
+]
+_BENCH_HISTORY = [
+    "0x1.c5a1278201c5bp+6", "0x1.b1d1f706d76e5p+6", "0x1.b95ad995625f1p+6", "0x1.ab9e04b3197cap+6",
+    "0x1.a06634e017eb1p+6", "0x1.a805ff7292b66p+6", "0x1.6e6a3fc00e378p+6", "0x1.566982d26359ep+6",
+    "0x1.3c640055a0428p+6", "0x1.4a2d4052b05b6p+6", "0x1.5986a6b749deap+6", "0x1.6a1c34a2bc3f4p+6",
+    "0x1.264ba16d419e2p+6", "0x1.4e24a582af466p+6", "0x1.2f3fe2059dd44p+6", "0x1.2603ed3b8e4c6p+6",
+    "0x1.220e602c0a753p+6", "0x1.0ca7458071433p+6", "0x1.06f9c9452e865p+6", "0x1.2b0edde381262p+6",
+    "0x1.1e4a99e20a418p+6", "0x1.0ed9510a3256fp+6", "0x1.ff522367b7f92p+5", "0x1.b8c1f27c9b29ap+5",
+    "0x1.10ed7ad0ec4aep+6", "0x1.f97ffbde9245dp+5", "0x1.050c1dec56128p+6", "0x1.03608e15c6f35p+6",
+    "0x1.efb8d98b300e5p+5", "0x1.deb5a6c6154b4p+5", "0x1.8fc65c56c0057p+5", "0x1.d0778429eaaf1p+5",
+    "0x1.ff75dc53d7094p+5", "0x1.f5f580e12c8ffp+5", "0x1.a6964a5f2bf6fp+5", "0x1.f56a38dbba4c8p+5",
+    "0x1.7e114c9599b78p+5", "0x1.94e2d29b381cep+5", "0x1.bcfd498d3649ap+5", "0x1.8d9e920cac876p+5",
+]
+
+
+def _ragged_run():
+    # 7, 9 and 12 utterances at K = 3: one speaker topped up, two that K divides
+    rng = np.random.default_rng(21)
+    ds = SpeakerDataset({f"s{i}": rng.standard_normal((n, 10)) for i, n in enumerate((7, 9, 12))})
+    return (ds, ToyModel.random(6, 10, 3, seed=22), TrainConfig(steps=24, learning_rate=0.05),
+            PkConfig(P=2, K=3, seed=23))
+
+
+def _benchmark_run():
+    # the train-pk benchmark's sizes, P and K, over an epoch and a part (31 batches an epoch)
+    ds = gen_synthetic(100, 40, 64, noise=0.15, seed=31)
+    return (ds, ToyModel.random(32, 64, 100, seed=32), TrainConfig(steps=40, learning_rate=0.05),
+            PkConfig(P=16, K=8, seed=33))
+
+
+@pytest.mark.parametrize("run, history, projection, class_weights", [
+    (_ragged_run, _RAGGED_HISTORY,
+     "8e1d5c3712fd3ca7cc33ea2a4e776fa6a550cf8af6a6b93f51dc4c99c65ab240",
+     "abf8123b7ebe4291c2302e57cfeab3eb9b9da245202e3b0aecc5b9504d01a167"),
+    (_benchmark_run, _BENCH_HISTORY,
+     "1e92c9037e9da42ae08b3d39c63b7579ffd21ea1f88741493b949c3a20562ba3",
+     "dd53398f30e7bbfcd737dea4e4e406eb8095704c8e0cbc8d01fe80f5c7c4c44e"),
+])
+def test_train_toy_keeps_the_recorded_bits(run, history, projection, class_weights):
+    model, got = train_toy(*run())
+    assert [loss.hex() for loss in got] == history
+    assert hashlib.sha256(model.projection.tobytes()).hexdigest() == projection
+    assert hashlib.sha256(model.class_weights.tobytes()).hexdigest() == class_weights
